@@ -31,10 +31,8 @@ from .model import (
 from .oracles import HarmonicOracle, OracleEvent, harmonic_oracle, reference_trajectory
 from .schemes import (
     DiscreteVectorField,
-    default_scheme_name,
     elliptic_dmm_dvf,
     implicit_midpoint_dvf,
-    resolve_scheme,
     rk2_dvf,
     rk4_dvf,
 )
@@ -46,7 +44,7 @@ from .solvers import (
     newton,
     quadratic_root_bound,
 )
-from .systems import elliptic_system, harmonic_system, make_system
+from .systems import elliptic_system, harmonic_system, make_system, resolve_scheme
 
 __all__ = [
     "BoundReport", "Classification", "ConservedSet", "CrossingEvent",
@@ -54,7 +52,7 @@ __all__ = [
     "PwsSystem", "RegionSegment", "RegionSide", "SolveStats", "SolverConfig",
     "SwitchingSurface", "Trajectory", "bracketed_root", "check_crossing_bound",
     "classify_interface_point", "complete_step", "conserved_error_series",
-    "crossing_time_errors", "default_scheme_name", "discrete_transversality",
+    "crossing_time_errors", "discrete_transversality",
     "elliptic_dmm_dvf", "elliptic_system", "estimate_order", "field_for_side",
     "fixed_point", "harmonic_oracle", "harmonic_system", "implicit_midpoint_dvf",
     "integrate", "locate_crossing", "make_system", "newton",

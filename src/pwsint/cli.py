@@ -2,9 +2,9 @@
 
 Configuration is a plain key=value text file with dotted keys
 (``solver.fp_tol=1e-14``), overridable with repeated ``--set key=value``
-flags.  All results are written as CSV with floats at 17 significant
-digits so they round-trip exactly.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+flags; a key that nothing reads is rejected.  All results are written
+as CSV with floats at 17 significant digits so they round-trip exactly.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,21 @@ from .engine import Trajectory, integrate
 from .errors import ConfigError, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 from .oracles import harmonic_oracle, reference_trajectory
-from .schemes import default_scheme_name, resolve_scheme
 from .solvers import SolverConfig
-from .systems import make_system
+from .systems import SYSTEMS, make_system, resolve_scheme
 
-_SYSTEM_PARAM_KEYS = {
-    "harmonic": ("omega2_minus", "omega2_plus"),
-    "elliptic": ("a_minus", "a_plus", "radius"),
-}
+_SOLVER_KEYS = (("fp_tol", float), ("fp_max_iter", int),
+                ("newton_fallback_after", int), ("root_tol_t", float),
+                ("root_max_iter", int), ("fd_jacobian_step", float))
 
-_DEFAULT_X0 = {"harmonic": (1.0, 1.0), "elliptic": (-1.0, -1.0)}
+# Every key read below or by ``main``; ``system.<p>`` keys are the
+# system factory's parameters and are checked by ``make_system``.
+_KEYS = frozenset({
+    "system", "scheme.minus", "scheme.plus", "x0", "t0", "T", "tau", "taus",
+    "tau_ref", "events_after", "perturbation.c", "perturbation.p",
+    "max_crossings_per_step", "max_events", "points",
+    *(f"solver.{name}" for name, _ in _SOLVER_KEYS),
+})
 
 
 def fmt(x: float) -> str:
@@ -90,11 +95,9 @@ class ExperimentConfig:
     perturbation: tuple | None
     solver: SolverConfig
     out: str
-    seed: int
     events_after: tuple
     max_crossings_per_step: int
     max_events: int
-    raw: dict = field(default_factory=dict)
 
     def schemes(self):
         return (resolve_scheme(self.scheme_minus_name, self.system, RegionSide.MINUS),
@@ -102,20 +105,17 @@ class ExperimentConfig:
 
 
 def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
+    unknown = sorted(k for k in kv if k not in _KEYS and not k.startswith("system."))
+    if unknown:
+        raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
     name = kv.get("system", "harmonic")
-    if name not in _SYSTEM_PARAM_KEYS:
-        raise ConfigError(f"unknown system {name!r}")
-    params = {}
-    for p in _SYSTEM_PARAM_KEYS[name]:
-        if f"system.{p}" in kv:
-            params[p] = _get(kv, f"system.{p}", float, None)
+    params = {key[len("system."):]: _get(kv, key, float, None)
+              for key in kv if key.startswith("system.")}
     system = make_system(name, **params)
+    spec = SYSTEMS[name]
 
-    default_scheme = default_scheme_name(system)
     solver_kwargs = {}
-    for fname, conv in (("fp_tol", float), ("fp_max_iter", int),
-                        ("newton_fallback_after", int), ("root_tol_t", float),
-                        ("root_max_iter", int), ("fd_jacobian_step", float)):
+    for fname, conv in _SOLVER_KEYS:
         if f"solver.{fname}" in kv:
             solver_kwargs[fname] = _get(kv, f"solver.{fname}", conv, None)
     try:
@@ -138,37 +138,32 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         system=system,
-        scheme_minus_name=kv.get("scheme.minus", default_scheme),
-        scheme_plus_name=kv.get("scheme.plus", default_scheme),
-        x0=_get(kv, "x0", _floats, _DEFAULT_X0[name]),
+        scheme_minus_name=kv.get("scheme.minus", spec.scheme),
+        scheme_plus_name=kv.get("scheme.plus", spec.scheme),
+        x0=_get(kv, "x0", _floats, spec.x0),
         t0=t0, T=T, tau=tau,
         taus=_get(kv, "taus", _floats, ()),
         tau_ref=_get(kv, "tau_ref", float, 1.6e-5),
         perturbation=perturbation,
         solver=solver,
         out=out,
-        seed=_get(kv, "seed", int, 0),
         events_after=_get(kv, "events_after", _ints, (10, 20, 30)),
         max_crossings_per_step=_get(kv, "max_crossings_per_step", int, 4),
         max_events=_get(kv, "max_events", int, 100_000),
-        raw=dict(kv),
     )
     cfg.schemes()  # validate scheme names now, not at run time
     return cfg
 
 
-def _run(config: ExperimentConfig, scheme_names: tuple[str, str] | None = None,
-         tau: float | None = None,
-         perturbation: tuple | None | str = "config") -> Trajectory:
-    if scheme_names is None:
-        dvf_minus, dvf_plus = config.schemes()
-    else:
-        dvf_minus = resolve_scheme(scheme_names[0], config.system, RegionSide.MINUS)
-        dvf_plus = resolve_scheme(scheme_names[1], config.system, RegionSide.PLUS)
-    pert = config.perturbation if perturbation == "config" else perturbation
-    return integrate(config.system, dvf_minus, dvf_plus, config.x0, config.t0,
+def _run(config: ExperimentConfig, perturbation: tuple | None,
+         scheme_names: tuple[str, str] | None = None,
+         tau: float | None = None) -> Trajectory:
+    sys_ = config.system
+    minus, plus = scheme_names or (config.scheme_minus_name, config.scheme_plus_name)
+    return integrate(sys_, resolve_scheme(minus, sys_, RegionSide.MINUS),
+                     resolve_scheme(plus, sys_, RegionSide.PLUS), config.x0, config.t0,
                      config.T, tau if tau is not None else config.tau,
-                     cfg=config.solver, perturbation=pert,
+                     cfg=config.solver, perturbation=perturbation,
                      max_crossings_per_step=config.max_crossings_per_step,
                      max_events=config.max_events)
 
@@ -179,7 +174,7 @@ def _side_name(side) -> str:
 
 def cmd_integrate(config: ExperimentConfig) -> list[str]:
     """Run one trajectory; emit <out>_trajectory.csv and <out>_events.csv."""
-    traj = _run(config)
+    traj = _run(config, config.perturbation)
     sys_ = config.system
     d = sys_.dim
     d_psi = sys_.conserved_minus.d_psi
@@ -190,13 +185,13 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
               + [f"psi_{i+1}" for i in range(d_psi)] + ["psi_error"])
 
     def traj_rows():
-        for k in range(len(traj.times)):
-            seg = traj.segment_at(k)
-            x = traj.states[k]
-            psi = sys_.conserved(seg.side).values(x)
-            yield ([k, float(traj.times[k])] + [float(v) for v in x]
-                   + [sys_.surface.value(x), seg.side.value]
-                   + [float(v) for v in psi] + [float(psi_err[k])])
+        for seg, lo, hi in traj.segment_blocks():
+            conserved = sys_.conserved(seg.side)
+            for k in range(lo, hi):
+                x = traj.states[k]
+                yield ([k, float(traj.times[k])] + [float(v) for v in x]
+                       + [sys_.surface.value(x), seg.side.value]
+                       + [float(v) for v in conserved.values(x)] + [float(psi_err[k])])
 
     write_csv(traj_path, header, traj_rows())
 
@@ -246,8 +241,7 @@ def _reference_for(config: ExperimentConfig):
     return state, [ev.t_star for ev in events]
 
 
-def cmd_sweep(config: ExperimentConfig,
-              perturbation: tuple | None | str = "config") -> list[str]:
+def cmd_sweep(config: ExperimentConfig, perturbation: tuple | None) -> list[str]:
     """Convergence study over the configured tau list; emit <out>_order.csv."""
     if len(config.taus) < 3:
         raise ConfigError("sweep needs at least 3 values in 'taus'")
@@ -257,7 +251,7 @@ def cmd_sweep(config: ExperimentConfig,
     rows = []
     table: dict[str, list[float]] = {c: [] for c in cols}
     for tau in config.taus:
-        traj = _run(config, tau=tau, perturbation=perturbation)
+        traj = _run(config, perturbation, tau=tau)
         t_end = float(traj.times[-1])
         err_state = float(np.linalg.norm(traj.states[-1] - np.asarray(ref_state(t_end))))
         errs = [err_state]
@@ -293,20 +287,20 @@ def cmd_perturb(config: ExperimentConfig) -> list[str]:
     """Sweep with the configured crossing-time perturbation (required)."""
     if config.perturbation is None:
         raise ConfigError("perturb needs perturbation.p (and optionally perturbation.c)")
-    return cmd_sweep(config, perturbation=config.perturbation)
+    return cmd_sweep(config, config.perturbation)
 
 
 def cmd_conserve(config: ExperimentConfig) -> list[str]:
     """Conserved-quantity error of the conservative scheme vs rk2."""
     sys_ = config.system
-    name = default_scheme_name(sys_)
+    name = SYSTEMS[sys_.name].scheme
     path = f"{config.out}_conserve.csv"
     header = ["t", "psi_error_dmm", "psi_error_rk2"]
     if round((config.T - config.t0) / config.tau) == 0:
         write_csv(path, header, [])
         return [path]
-    traj_dmm = _run(config, scheme_names=(name, name), perturbation=None)
-    traj_rk2 = _run(config, scheme_names=("rk2", "rk2"), perturbation=None)
+    traj_dmm = _run(config, None, scheme_names=(name, name))
+    traj_rk2 = _run(config, None, scheme_names=("rk2", "rk2"))
     err_dmm = conserved_error_series(traj_dmm, sys_)
     err_rk2 = conserved_error_series(traj_rk2, sys_)
     rows = ([float(t), float(a), float(b)]
@@ -376,7 +370,7 @@ def main(argv=None) -> int:
         if args.command == "integrate":
             paths = cmd_integrate(config)
         elif args.command == "sweep":
-            paths = cmd_sweep(config, perturbation=None)
+            paths = cmd_sweep(config, None)
         elif args.command == "perturb":
             paths = cmd_perturb(config)
         elif args.command == "conserve":

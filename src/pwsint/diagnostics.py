@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EventMismatch, InsufficientData, UnsupportedSystem
-from .engine import CrossingEvent, Trajectory, _solve_leg
+from .errors import EvaluationError, EventMismatch, InsufficientData, UnsupportedSystem
+from .engine import CrossingEvent, Trajectory, smooth_step
 from .model import PwsSystem, RegionSide, classify_interface_point, field_for_side
 from .oracles import OracleEvent
 from .schemes import DiscreteVectorField
@@ -52,34 +52,25 @@ def conserved_error_series(traj: Trajectory, sys: PwsSystem) -> Array:
     Each sample is compared against the reference values read at the
     entry of its region segment; the largest component-wise deviation is
     reported.  The reference legitimately changes across events, so
-    drift is only meaningful within segments.
+    drift is only meaningful within segments.  ``psi`` is evaluated once
+    per segment on the stacked states; one that does not broadcast over
+    them (see ``ConservedSet``) raises ``EvaluationError``.
     """
     if not traj.region_segments:
         raise ValueError("trajectory has no region segments")
-    n = len(traj.times)
-    errs = np.empty(n)
-    segments = traj.region_segments
-    for i, seg in enumerate(segments):
-        lo = seg.start_index
-        hi = segments[i + 1].start_index if i + 1 < len(segments) else n
-        if hi <= lo:
-            continue
+    errs = np.empty(len(traj.times))
+    for seg, lo, hi in traj.segment_blocks():
         conserved = sys.conserved(seg.side)
         block = traj.states[lo:hi]
-        try:
-            # Catalog-style psi broadcasts over a leading sample axis; a
-            # spot check against the scalar evaluation catches functions
-            # that return the right shape without actually broadcasting.
-            psi = np.asarray(conserved.psi(block), dtype=float)
-            if psi.shape != (conserved.d_psi, hi - lo):
-                raise ValueError
-            if not np.array_equal(psi[:, 0], conserved.values(block[0])):
-                raise ValueError
-            errs[lo:hi] = np.max(np.abs(psi - seg.psi_ref[:, None]), axis=0)
-        except Exception:
-            for k in range(lo, hi):
-                psi_k = conserved.values(traj.states[k])
-                errs[k] = float(np.max(np.abs(psi_k - seg.psi_ref)))
+        psi = np.asarray(conserved.psi(block), dtype=float)
+        # A spot check against the scalar evaluation catches functions
+        # that return the right shape without actually broadcasting.
+        if (psi.shape != (conserved.d_psi, hi - lo)
+                or not np.array_equal(psi[:, 0], conserved.values(block[0]))):
+            raise EvaluationError(
+                f"psi does not broadcast over a stack of {hi - lo} states "
+                f"(returned shape {psi.shape})")
+        errs[lo:hi] = np.max(np.abs(psi - seg.psi_ref[:, None]), axis=0)
     return errs
 
 
@@ -197,7 +188,7 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
         def leg_sup(dvf, a, x_a, b, anchor_t, anchor_x, before: bool) -> float:
             sup = 0.0
             for t in np.linspace(a, b, 7):
-                x_t, _ = _solve_leg(dvf, a, x_a, t, cfg)
+                x_t = smooth_step(dvf, a, x_a, t, cfg)
                 if before:
                     fv = dvf.evaluate(t, x_t, anchor_t, anchor_x)
                 else:
@@ -214,9 +205,9 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
                          event.t_hat, event.x_hat, before=False)
         M_hat = 0.5 * max(m_minus, m_plus)
         if oracle_t_star <= event.t_hat:
-            x_ref, _ = _solve_leg(dvf_from, t_k, x_k, oracle_t_star, cfg)
+            x_ref = smooth_step(dvf_from, t_k, x_k, oracle_t_star, cfg)
         else:
-            x_ref, _ = _solve_leg(dvf_to, event.t_hat, event.x_hat, oracle_t_star, cfg)
+            x_ref = smooth_step(dvf_to, event.t_hat, event.x_hat, oracle_t_star, cfg)
         dx = float(np.linalg.norm(x_ref - event.x_hat))
         variant = "discrete"
         note = "M sampled at 7 points per leg; may underestimate the supremum"

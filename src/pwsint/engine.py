@@ -15,7 +15,11 @@ accuracy limits global accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator
+
 import numpy as np
 
 from .errors import (
@@ -64,7 +68,6 @@ class CrossingEvent:
     perturbation_applied: float = 0.0
     convex_residual: float = 0.0
     step_index: int = -1
-    _leg1: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -86,13 +89,21 @@ class Trajectory:
 
     def segment_at(self, k: int) -> RegionSegment:
         """Segment governing sample k (the last one starting at or before k)."""
-        seg = self.region_segments[0]
-        for s in self.region_segments:
-            if s.start_index <= k:
-                seg = s
-            else:
-                break
-        return seg
+        i = bisect_right(self.region_segments, k, key=attrgetter("start_index"))
+        return self.region_segments[max(i - 1, 0)]
+
+    def segment_blocks(self) -> Iterator[tuple[RegionSegment, int, int]]:
+        """Yield (segment, lo, hi): the segment governs samples lo..hi-1.
+
+        Segments that govern no sample (several crossings in one step)
+        are skipped.
+        """
+        segments = self.region_segments
+        n = len(self.times)
+        for i, seg in enumerate(segments):
+            hi = segments[i + 1].start_index if i + 1 < len(segments) else n
+            if hi > seg.start_index:
+                yield seg, seg.start_index, hi
 
 
 def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
@@ -130,16 +141,13 @@ def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array, t_target: floa
 
 def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                     t_k: float, x_k: Array, tau: float,
-                    cfg: SolverConfig | None = None,
-                    method: str = "nested") -> CrossingEvent:
+                    cfg: SolverConfig | None = None) -> CrossingEvent:
     """Localize the interface crossing inside the step [t_k, t_k + tau].
 
-    ``nested`` (default) runs a bracketed scalar root solve on
-    phi(t) = g(xhat(t)), where xhat(t) is the inner step solution up to
-    time t; the bracket comes from the sign change that triggered the
-    call, so convergence is guaranteed.  ``coupled`` instead solves the
-    (d+1)-dimensional system in (x, t) with Newton; it is faster but
-    offered only as an alternative verified against the nested result.
+    Runs a bracketed scalar root solve on phi(t) = g(xhat(t)), where
+    xhat(t) is the inner step solution up to time t; the bracket comes
+    from the sign change that triggered the call, so convergence is
+    guaranteed.
 
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
@@ -165,29 +173,6 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     band = surface.on_surface_tol
     if abs(g_b) <= band:
         raise ValueError("step endpoint is on the surface; treat as a landing, not a crossing")
-
-    if method == "coupled":
-        frac = g_a / (g_a - g_b) if g_a != g_b else 0.5
-        t_g = t_k + frac * tau
-        z0 = np.concatenate([xhat(t_g), [t_g]])
-
-        def F(z):
-            x, t = z[:-1], z[-1]
-            return np.concatenate([
-                x - x_k - (t - t_k) * dvf_from.evaluate(t_k, x_k, t, x),
-                [surface.value(x)],
-            ])
-
-        z, stats = newton(F, z0, cfg)
-        t_hat, x_hat = float(z[-1]), z[:-1]
-        if not (t_k < t_hat <= t_b):
-            raise CrossingLocalizationFailed(
-                f"coupled solve left the step interval: t={t_hat}")
-        return CrossingEvent(t_hat=t_hat, x_hat=x_hat,
-                             residual_g=surface.value(x_hat), stats_locate=stats)
-
-    if method != "nested":
-        raise ConfigError(f"unknown localization method {method!r}")
 
     a_eff = t_k
     if abs(g_a) > band and g_a * g_b < 0.0:
@@ -254,35 +239,36 @@ class _Run:
         self.events: list[CrossingEvent] = []
         self.segments: list[RegionSegment] = []
 
-    def _close_pending(self, pending: CrossingEvent | None, t_end: float,
-                       x_end: Array, stats: SolveStats) -> None:
-        """Fill completion stats and the two-leg defect of a finished event."""
-        if pending is None:
-            return
-        pending.stats_complete = stats
-        t0, x0, dvf_from = pending._leg1
-        t_p = pending.t_hat + pending.perturbation_applied
-        dvf_to = self.dvfs[pending.side_to]
-        r = (x_end - x0
-             - (pending.t_hat - t0)
-             * dvf_from.evaluate(t0, x0, pending.t_hat, pending.x_hat)
-             - (t_end - t_p)
-             * dvf_to.evaluate(t_p, pending.x_hat, t_end, x_end))
-        pending.convex_residual = float(np.linalg.norm(r))
-
     def advance(self, t_a: float, x_a: Array, side: RegionSide, t_b: float,
                 k: int) -> tuple[Array, RegionSide]:
         """Advance one grid step, localizing and crossing any transitions."""
         surface = self.sys.surface
+        # The event whose completion leg is being solved, and the start
+        # and field of the leg that led to it.
         pending: CrossingEvent | None = None
+        first_t = first_x = first_dvf = None
         leg_t, leg_x, leg_side = t_a, x_a, side
         crossings = 0
+
+        def close_pending(t_end: float, x_end: Array, stats: SolveStats) -> None:
+            """Fill completion stats and the two-leg defect of ``pending``."""
+            if pending is None:
+                return
+            pending.stats_complete = stats
+            t_p = pending.t_hat + pending.perturbation_applied
+            r = (x_end - first_x
+                 - (pending.t_hat - first_t)
+                 * first_dvf.evaluate(first_t, first_x, pending.t_hat, pending.x_hat)
+                 - (t_end - t_p)
+                 * self.dvfs[pending.side_to].evaluate(t_p, pending.x_hat, t_end, x_end))
+            pending.convex_residual = float(np.linalg.norm(r))
+
         while True:
             dvf = self.dvfs[leg_side]
             x_prop, solve_stats = _solve_leg(dvf, leg_t, leg_x, t_b, self.cfg)
             s2 = side_of(surface, x_prop)
             if s2 is leg_side:
-                self._close_pending(pending, t_b, x_prop, solve_stats)
+                close_pending(t_b, x_prop, solve_stats)
                 return x_prop, leg_side
             if crossings >= self.max_crossings_per_step:
                 raise StepTooLarge(
@@ -300,7 +286,7 @@ class _Run:
             else:
                 ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t, self.cfg)
             ev.step_index = k
-            self._close_pending(pending, ev.t_hat, ev.x_hat, ev.stats_locate)
+            close_pending(ev.t_hat, ev.x_hat, ev.stats_locate)
 
             tol = max(surface.on_surface_tol, 10.0 * abs(ev.residual_g))
             info = classify_interface_point(self.sys, ev.x_hat, ev.t_hat, tol=tol)
@@ -324,19 +310,17 @@ class _Run:
                 c, p = self.pert
                 t_p = min(max(ev.t_hat + c * self.tau ** p, leg_t), t_b)
             ev.perturbation_applied = t_p - ev.t_hat
-            ev._leg1 = (leg_t, leg_x, dvf)
             self.events.append(ev)
             self.segments.append(RegionSegment(
                 k + 1, side_to, self.sys.conserved(side_to).values(ev.x_hat)))
             crossings += 1
 
+            pending, first_t, first_x, first_dvf = ev, leg_t, leg_x, dvf
             if t_p >= t_b:
                 # Completion leg has zero length: exact landing, or the
                 # injected perturbation was clamped to the step end.
-                self._close_pending(ev, t_p, ev.x_hat,
-                                    SolveStats(0, 0.0, 0.0, "explicit"))
+                close_pending(t_p, ev.x_hat, SolveStats(0, 0.0, 0.0, "explicit"))
                 return ev.x_hat.copy(), side_to
-            pending = ev
             leg_t, leg_x, leg_side = t_p, ev.x_hat, side_to
 
 
@@ -379,12 +363,9 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x0
-    carried = side
     for k in range(n_steps):
-        x_a = states[k]
-        s = side_of(sys.surface, x_a)
-        if s is RegionSide.ON_SURFACE:
-            s = carried
-        states[k + 1], carried = run.advance(times[k], x_a, s, times[k + 1], k)
+        # The side comes from advance, not from g at the new state, which
+        # may sit on the surface right after a landing.
+        states[k + 1], side = run.advance(times[k], states[k], side, times[k + 1], k)
     return Trajectory(times=times, states=states, tau=tau,
                       events=run.events, region_segments=run.segments)

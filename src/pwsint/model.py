@@ -27,22 +27,6 @@ class RegionSide(enum.Enum):
     PLUS = "plus"
     ON_SURFACE = "on_surface"
 
-    def opposite(self) -> "RegionSide":
-        if self is RegionSide.MINUS:
-            return RegionSide.PLUS
-        if self is RegionSide.PLUS:
-            return RegionSide.MINUS
-        raise ValueError("on_surface has no opposite side")
-
-    @property
-    def sign(self) -> int:
-        """Sign of g in this region; raises for on_surface."""
-        if self is RegionSide.MINUS:
-            return -1
-        if self is RegionSide.PLUS:
-            return 1
-        raise ValueError("on_surface has no sign")
-
 
 class Classification(enum.Enum):
     TRANSVERSAL_UP = "transversal_up"       # both fields increase g: minus -> plus
@@ -94,7 +78,12 @@ class SwitchingSurface:
 
 @dataclass(frozen=True)
 class ConservedSet:
-    """Conserved quantities of one region: psi maps a state to d_psi values."""
+    """Conserved quantities of one region: psi maps a state to d_psi values.
+
+    ``psi`` must also accept a stack of states along a leading axis,
+    shape (n, dim), and then return shape (d_psi, n); the per-sample
+    error series evaluates it on whole region segments at once.
+    """
 
     psi: Callable[[Array], Array]
     grad_psi: Callable[[Array], Array]

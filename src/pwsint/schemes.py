@@ -9,7 +9,8 @@ the transition engine stay scheme-agnostic.
 Conservative instances carry the conserved set they preserve exactly:
 the implicit midpoint field preserves quadratic invariants of linear
 fields, and the divided-difference cubic field preserves
-y^2 - x^3 - a x identically whenever its step equation holds.
+y^2 - x^3 - a x identically whenever its step equation holds.  Which
+scheme conserves which catalog system is recorded in ``systems``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import ConservedSet, PwsSystem, RegionSide, VectorField
+from .model import ConservedSet, VectorField
 
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
@@ -96,32 +96,3 @@ def rk4_dvf(f: VectorField) -> DiscreteVectorField:
         return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
     return DiscreteVectorField(evaluate, order=4, is_implicit=False, name="rk4")
-
-
-SCHEME_NAMES = ("dmm-midpoint", "dmm-elliptic", "rk2", "rk4")
-
-
-def resolve_scheme(name: str, sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
-    """Build the named scheme for one region of a system."""
-    f = sys.field(side)
-    if name == "dmm-midpoint":
-        # Midpoint is exactly conservative only for quadratic invariants
-        # of linear fields, which among the catalog systems is the
-        # harmonic one.
-        conserves = sys.conserved(side) if sys.name == "harmonic" else None
-        return implicit_midpoint_dvf(f, conserves=conserves)
-    if name == "dmm-elliptic":
-        if sys.name != "elliptic":
-            raise ConfigError("scheme 'dmm-elliptic' applies only to the elliptic system")
-        key = "a_minus" if side is RegionSide.MINUS else "a_plus"
-        return elliptic_dmm_dvf(sys.params[key], conserves=sys.conserved(side))
-    if name == "rk2":
-        return rk2_dvf(f)
-    if name == "rk4":
-        return rk4_dvf(f)
-    raise ConfigError(f"unknown scheme {name!r}; available: {SCHEME_NAMES}")
-
-
-def default_scheme_name(sys: PwsSystem) -> str:
-    """Conservative default for the catalog systems."""
-    return "dmm-elliptic" if sys.name == "elliptic" else "dmm-midpoint"

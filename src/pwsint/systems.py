@@ -1,5 +1,10 @@
 """Built-in example systems, addressable by name.
 
+Everything the package knows about a catalog system lives in its
+``SystemSpec`` record: how to build it, its default initial state, and
+which conservative scheme belongs to it and how that scheme is built
+for each region.  ``resolve_scheme`` lives here because it reads them.
+
 ``harmonic``: oscillator with a different spring stiffness in each half
 plane, switching on the line y = 0.  Each side conserves its own energy
 (omega^2 x^2 + y^2) / 2.
@@ -11,10 +16,20 @@ conserves y^2 - x^3 - a x, whose level sets are elliptic curves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .errors import ConfigError
-from .model import ConservedSet, PwsSystem, SwitchingSurface
+from .model import ConservedSet, PwsSystem, RegionSide, SwitchingSurface
+from .schemes import (
+    DiscreteVectorField,
+    elliptic_dmm_dvf,
+    implicit_midpoint_dvf,
+    rk2_dvf,
+    rk4_dvf,
+)
 
 
 def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsSystem:
@@ -87,20 +102,72 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
     )
 
 
-SYSTEMS = {
-    "harmonic": harmonic_system,
-    "elliptic": elliptic_system,
+def _harmonic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
+    # Midpoint is exactly conservative for the quadratic energy of a
+    # linear field.
+    return implicit_midpoint_dvf(sys.field(side), conserves=sys.conserved(side))
+
+
+def _elliptic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
+    a = sys.params["a_minus" if side is RegionSide.MINUS else "a_plus"]
+    return elliptic_dmm_dvf(a, conserves=sys.conserved(side))
+
+
+@dataclass(frozen=True)
+class SystemSpec:
+    """Catalog record of one built-in system.
+
+    ``factory`` builds the system from keyword parameters, ``x0`` is the
+    default initial state and ``scheme`` names the exactly conservative
+    scheme, which ``dmm(sys, side)`` builds for one region.  ``dmm``
+    reads only ``sys`` (its fields, conserved sets and ``params``), so
+    it also serves a copy of the system with replaced callables.
+    """
+
+    factory: Callable[..., PwsSystem]
+    x0: tuple[float, ...]
+    scheme: str
+    dmm: Callable[[PwsSystem, RegionSide], DiscreteVectorField]
+
+
+SYSTEMS: dict[str, SystemSpec] = {
+    "harmonic": SystemSpec(harmonic_system, (1.0, 1.0), "dmm-midpoint", _harmonic_dmm),
+    "elliptic": SystemSpec(elliptic_system, (-1.0, -1.0), "dmm-elliptic", _elliptic_dmm),
+}
+
+# Schemes that apply to any system; built from the region's field alone,
+# they carry no conserved set.
+_GENERIC_SCHEMES = {
+    "dmm-midpoint": implicit_midpoint_dvf,
+    "rk2": rk2_dvf,
+    "rk4": rk4_dvf,
 }
 
 
 def make_system(name: str, **params) -> PwsSystem:
     """Instantiate a catalog system, overriding any of its parameters."""
     try:
-        factory = SYSTEMS[name]
+        spec = SYSTEMS[name]
     except KeyError:
         raise ConfigError(
             f"unknown system {name!r}; available: {sorted(SYSTEMS)}") from None
     try:
-        return factory(**params)
+        return spec.factory(**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for system {name!r}: {exc}") from None
+
+
+def resolve_scheme(name: str, sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
+    """Build the named scheme for one region of a system.
+
+    The catalog system's own conservative scheme carries the region's
+    conserved set; the generic schemes carry none.
+    """
+    spec = SYSTEMS.get(sys.name)
+    if spec is not None and name == spec.scheme:
+        return spec.dmm(sys, side)
+    if name not in _GENERIC_SCHEMES:
+        available = set(_GENERIC_SCHEMES) | ({spec.scheme} if spec else set())
+        raise ConfigError(f"unknown scheme {name!r} for system {sys.name!r}; "
+                          f"available: {sorted(available)}")
+    return _GENERIC_SCHEMES[name](sys.field(side))

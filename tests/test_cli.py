@@ -4,6 +4,7 @@ import math
 import pytest
 
 from pwsint.cli import build_config, main, parse_kv_file
+from pwsint.errors import ConfigError
 
 
 def read_csv(path):
@@ -59,6 +60,15 @@ solver.fp_tol=1e-13
         mn, pl = cfg.schemes()
         assert mn.name == "rk2" and not mn.is_implicit
         assert pl.name == "dmm-midpoint" and pl.is_implicit
+
+    @pytest.mark.parametrize("key,value", [("tua", "0.5"),
+                                           ("system.omega2_minsu", "9"),
+                                           ("seed", "0")])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[-1]):
+            build_config({key: value})
+        rc = main(["integrate", "--out", str(tmp_path / "u"), "--set", f"{key}={value}"])
+        assert rc == 2
 
     def test_bad_scheme_is_config_error(self):
         from pwsint.errors import ConfigError

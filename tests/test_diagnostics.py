@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ from pwsint import (
     integrate,
 )
 from pwsint.engine import Trajectory
-from pwsint.errors import EventMismatch, InsufficientData, UnsupportedSystem
-from pwsint.model import PwsSystem, SwitchingSurface
+from pwsint.errors import (EvaluationError, EventMismatch, InsufficientData,
+                           UnsupportedSystem)
+from pwsint.model import ConservedSet, PwsSystem, SwitchingSurface
 from pwsint.oracles import OracleEvent
 
 CFG = SolverConfig()
@@ -69,6 +71,17 @@ class TestConservedErrorSeries:
         errs = conserved_error_series(traj, harmonic)
         assert len(traj.region_segments) == 2
         assert errs.max() <= 1e-12
+
+    def test_non_broadcasting_psi_raises(self, harmonic, harmonic_dmm):
+        traj = integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1],
+                         [1.0, 1.0], 0.0, 2.0, 1e-3)
+        # Indexes the first axis, so a stack of states gives the wrong values.
+        scalar_only = ConservedSet(psi=lambda x: np.array([0.5 * (x[0] ** 2 + x[1] ** 2)]),
+                                   grad_psi=lambda x: np.array([[x[0], x[1]]]), d_psi=1)
+        sys_ = dataclasses.replace(harmonic, conserved_minus=scalar_only,
+                                   conserved_plus=scalar_only)
+        with pytest.raises(EvaluationError):
+            conserved_error_series(traj, sys_)
 
 
 class TestCrossingTimeErrors:

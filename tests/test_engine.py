@@ -107,14 +107,6 @@ class TestLocateCrossing:
         assert abs(ev.residual_g) <= 1e-12
         assert abs(np.linalg.norm(ev.x_hat) - 1.0) <= 1e-12  # on the unit circle
 
-    def test_coupled_matches_nested(self, harmonic, harmonic_dmm):
-        nested = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                                 np.array([1.0, 1.0]), 0.83, CFG)
-        coupled = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                                  np.array([1.0, 1.0]), 0.83, CFG, method="coupled")
-        assert abs(nested.t_hat - coupled.t_hat) <= 1e-10
-        assert np.linalg.norm(nested.x_hat - coupled.x_hat) <= 1e-10
-
     def test_no_sign_change_is_caller_error(self, harmonic, harmonic_dmm):
         with pytest.raises(ValueError):
             locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,

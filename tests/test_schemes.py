@@ -6,15 +6,19 @@ import pytest
 from pwsint import (
     RegionSide,
     SolverConfig,
+    conserved_error_series,
     elliptic_dmm_dvf,
     fixed_point,
     implicit_midpoint_dvf,
+    integrate,
+    make_system,
     resolve_scheme,
     rk2_dvf,
     rk4_dvf,
     smooth_step,
 )
 from pwsint.errors import ConfigError
+from pwsint.systems import SYSTEMS
 
 from conftest import midpoint_harmonic_step
 
@@ -214,6 +218,19 @@ class TestRegistry:
     def test_elliptic_scheme_rejected_elsewhere(self, harmonic):
         with pytest.raises(ConfigError):
             resolve_scheme("dmm-elliptic", harmonic, RegionSide.PLUS)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_catalog_scheme_conserves_its_system(self, name):
+        spec = SYSTEMS[name]
+        sys_ = make_system(name)
+        dvfs = {side: resolve_scheme(spec.scheme, sys_, side)
+                for side in (RegionSide.MINUS, RegionSide.PLUS)}
+        for side, dvf in dvfs.items():
+            assert dvf.conserves is sys_.conserved(side)
+        traj = integrate(sys_, dvfs[RegionSide.MINUS], dvfs[RegionSide.PLUS],
+                         spec.x0, 0.0, 6.0, 1e-2)
+        assert len(traj.events) >= 3
+        assert conserved_error_series(traj, sys_).max() <= 1e-11
 
     def test_unknown_scheme(self, harmonic):
         with pytest.raises(ConfigError):
