@@ -13,7 +13,6 @@ from .engine import (
     CrossingEvent,
     RegionSegment,
     Trajectory,
-    complete_step,
     integrate,
     locate_crossing,
     smooth_step,
@@ -51,7 +50,7 @@ __all__ = [
     "DiscreteVectorField", "HarmonicOracle", "OracleEvent", "OrderEstimate",
     "PwsSystem", "RegionSegment", "RegionSide", "SolveStats", "SolverConfig",
     "SwitchingSurface", "Trajectory", "bracketed_root", "check_crossing_bound",
-    "classify_interface_point", "complete_step", "conserved_error_series",
+    "classify_interface_point", "conserved_error_series",
     "crossing_time_errors", "discrete_transversality",
     "elliptic_dmm_dvf", "elliptic_system", "estimate_order", "field_for_side",
     "fixed_point", "harmonic_oracle", "harmonic_system", "implicit_midpoint_dvf",

@@ -24,9 +24,7 @@ from .oracles import harmonic_oracle, reference_trajectory
 from .solvers import SolverConfig
 from .systems import SYSTEMS, make_system, resolve_scheme
 
-_SOLVER_KEYS = (("fp_tol", float), ("fp_max_iter", int),
-                ("newton_fallback_after", int), ("root_tol_t", float),
-                ("root_max_iter", int), ("fd_jacobian_step", float))
+_SOLVER_KEYS = ("fp_tol", "root_tol_t")
 
 # Every key read below or by ``main``; ``system.<p>`` keys are the
 # system factory's parameters and are checked by ``make_system``.
@@ -34,7 +32,7 @@ _KEYS = frozenset({
     "system", "scheme.minus", "scheme.plus", "x0", "t0", "T", "tau", "taus",
     "tau_ref", "events_after", "perturbation.c", "perturbation.p",
     "max_crossings_per_step", "max_events", "points",
-    *(f"solver.{name}" for name, _ in _SOLVER_KEYS),
+    *(f"solver.{name}" for name in _SOLVER_KEYS),
 })
 
 
@@ -114,10 +112,8 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     system = make_system(name, **params)
     spec = SYSTEMS[name]
 
-    solver_kwargs = {}
-    for fname, conv in _SOLVER_KEYS:
-        if f"solver.{fname}" in kv:
-            solver_kwargs[fname] = _get(kv, f"solver.{fname}", conv, None)
+    solver_kwargs = {name: _get(kv, f"solver.{name}", float, None)
+                     for name in _SOLVER_KEYS if f"solver.{name}" in kv}
     try:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as exc:
@@ -131,16 +127,21 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     t0 = _get(kv, "t0", float, 0.0)
     T = _get(kv, "T", float, 10.0)
     tau = _get(kv, "tau", float, 1e-3)
+    if not all(map(math.isfinite, (t0, T, tau))):
+        raise ConfigError("t0, T and tau must be finite")
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
     if T < t0:
         raise ConfigError("T must not precede t0")
+    x0 = _get(kv, "x0", _floats, spec.x0)
+    if len(x0) != system.dim or not all(map(math.isfinite, x0)):
+        raise ConfigError(f"x0 must be {system.dim} finite numbers, got {x0!r}")
 
     cfg = ExperimentConfig(
         system=system,
         scheme_minus_name=kv.get("scheme.minus", spec.scheme),
         scheme_plus_name=kv.get("scheme.plus", spec.scheme),
-        x0=_get(kv, "x0", _floats, spec.x0),
+        x0=x0,
         t0=t0, T=T, tau=tau,
         taus=_get(kv, "taus", _floats, ()),
         tau_ref=_get(kv, "tau_ref", float, 1.6e-5),

@@ -45,6 +45,9 @@ from .solvers import SolveStats, SolverConfig, bracketed_root, fixed_point, newt
 
 Array = np.ndarray
 
+# Fixed-point iterations spent on a leg before it falls back to Newton.
+NEWTON_FALLBACK_AFTER = 25
+
 
 @dataclass
 class CrossingEvent:
@@ -126,7 +129,7 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
 
     guess = step_map(x_a)
     try:
-        return fixed_point(step_map, guess, cfg, max_iter=cfg.newton_fallback_after)
+        return fixed_point(step_map, guess, cfg, max_iter=NEWTON_FALLBACK_AFTER)
     except (DivergingFixedPoint, NoConvergence):
         x, stats = newton(lambda x: x - step_map(x), guess, cfg)
         return x, stats
@@ -156,17 +159,19 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     x_k = np.asarray(x_k, dtype=float)
     t_b = t_k + tau
     n_evals = 0
-    inner_stats: list[SolveStats] = [SolveStats(0, 0.0, 0.0, "explicit")]
+    # Each in-step time is solved once: Brent evaluates the step end
+    # again, and the root it returns is usually a time it evaluated.
+    legs: dict[float, tuple[Array, SolveStats]] = {}
 
-    def xhat(t: float) -> Array:
-        x, st = _solve_leg(dvf_from, t_k, x_k, t, cfg)
-        inner_stats[0] = st
-        return x
+    def leg(t: float) -> tuple[Array, SolveStats]:
+        if t not in legs:
+            legs[t] = _solve_leg(dvf_from, t_k, x_k, t, cfg)
+        return legs[t]
 
     def phi(t: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        return surface.value(xhat(t))
+        return surface.value(leg(t)[0])
 
     g_a = surface.value(x_k)
     g_b = phi(t_b)
@@ -203,24 +208,13 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                          "strictly opposite signs at the endpoints")
 
     t_hat = bracketed_root(phi, a_eff, t_b, cfg)
-    x_hat = xhat(t_hat)
-    inner = inner_stats[0]
-    stats = SolveStats(iterations=n_evals, residual=abs(surface.value(x_hat)),
+    x_hat, inner = leg(t_hat)
+    g_hat = surface.value(x_hat)
+    stats = SolveStats(iterations=n_evals, residual=abs(g_hat),
                        contraction_estimate=inner.contraction_estimate,
                        method_used=inner.method_used)
     return CrossingEvent(t_hat=float(t_hat), x_hat=x_hat,
-                         residual_g=surface.value(x_hat), stats_locate=stats)
-
-
-def complete_step(dvf_to: DiscreteVectorField, event: CrossingEvent, t_next: float,
-                  cfg: SolverConfig | None = None) -> Array:
-    """Finish the interrupted step from the crossing point to t_next."""
-    if t_next < event.t_hat:
-        raise ValueError("completion target precedes the crossing time")
-    if t_next == event.t_hat:
-        return event.x_hat.copy()
-    x, _ = _solve_leg(dvf_to, event.t_hat, event.x_hat, t_next, cfg or SolverConfig())
-    return x
+                         residual_g=g_hat, stats_locate=stats)
 
 
 class _Run:
@@ -342,6 +336,10 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be {sys.dim} finite numbers, got {x0!r}")
+    if not np.all(np.isfinite((t0, T, tau))):
+        raise ConfigError("t0, T and tau must be finite")
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
     span = T - t0

@@ -29,30 +29,28 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+FP_MAX_ITER = 100  # default fixed-point cap, and the Newton cap
+ROOT_MAX_ITER = 200
+FD_JACOBIAN_STEP = math.sqrt(_EPS)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps shared by the solvers.
+    """The two tolerances shared by the solvers.
 
     ``fp_tol`` is used as a mixed tolerance: an iterate x is accepted
     when the relevant residual is below fp_tol * (1 + |x|).
-    ``newton_fallback_after`` bounds the fixed-point iterations spent
-    before the caller should switch to Newton.  ``root_tol_t`` is the
-    absolute bracket-width target of the scalar root finder.
+    ``root_tol_t`` is the absolute bracket-width target of the scalar
+    root finder.  The iteration caps and the finite-difference step are
+    module constants.
     """
 
     fp_tol: float = 1e-14
-    fp_max_iter: int = 100
-    newton_fallback_after: int = 25
     root_tol_t: float = 1e-14
-    root_max_iter: int = 200
-    fd_jacobian_step: float = math.sqrt(_EPS)
 
     def __post_init__(self) -> None:
-        if not (self.fp_tol > 0 and self.root_tol_t > 0 and self.fd_jacobian_step > 0):
+        if not (self.fp_tol > 0 and self.root_tol_t > 0):
             raise ValueError("all tolerances must be positive")
-        if min(self.fp_max_iter, self.newton_fallback_after, self.root_max_iter) < 1:
-            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ class SolveStats:
 
 def fixed_point(map_: Callable[[Array], Array], x0: Array,
                 cfg: SolverConfig | None = None,
-                max_iter: int | None = None) -> tuple[Array, SolveStats]:
+                max_iter: int = FP_MAX_ITER) -> tuple[Array, SolveStats]:
     """Iterate x <- map(x) until the update is below the mixed tolerance.
 
     The observed Lipschitz ratio of successive updates is monitored; a
@@ -80,13 +78,12 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
     exceeds the contraction restriction.
     """
     cfg = cfg or SolverConfig()
-    cap = max_iter if max_iter is not None else cfg.fp_max_iter
     x = np.asarray(x0, dtype=float)
     prev_delta = -1.0
     contraction = 0.0
     expanding = 0
     tol = cfg.fp_tol
-    for it in range(1, cap + 1):
+    for it in range(1, max_iter + 1):
         x_new = np.asarray(map_(x), dtype=float)
         diff = x_new - x
         delta = math.sqrt(float(diff.dot(diff)))
@@ -100,14 +97,14 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
             return x_new, SolveStats(it, delta, contraction, "fixed_point")
         prev_delta = delta
         x = x_new
-    raise NoConvergence(f"fixed point not converged in {cap} iterations")
+    raise NoConvergence(f"fixed point not converged in {max_iter} iterations")
 
 
-def _fd_jacobian(F: Callable[[Array], Array], x: Array, Fx: Array, h0: float) -> Array:
+def _fd_jacobian(F: Callable[[Array], Array], x: Array, Fx: Array) -> Array:
     n = x.size
     J = np.empty((Fx.size, n))
     for j in range(n):
-        h = h0 * max(1.0, abs(x[j]))
+        h = FD_JACOBIAN_STEP * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += h
         J[:, j] = (np.atleast_1d(np.asarray(F(xp), dtype=float)) - Fx) / h
@@ -115,8 +112,7 @@ def _fd_jacobian(F: Callable[[Array], Array], x: Array, Fx: Array, h0: float) ->
 
 
 def newton(F: Callable[[Array], Array], x0: Array,
-           cfg: SolverConfig | None = None,
-           jac: Callable[[Array], Array] | None = None) -> tuple[Array, SolveStats]:
+           cfg: SolverConfig | None = None) -> tuple[Array, SolveStats]:
     """Newton iteration on F(x) = 0 with a forward-difference Jacobian.
 
     Accepts when |F(x)| <= fp_tol * (1 + |x0|).  A Jacobian with
@@ -127,15 +123,14 @@ def newton(F: Callable[[Array], Array], x0: Array,
     target = cfg.fp_tol * (1.0 + float(np.linalg.norm(x)))
     prev_step = -1.0
     contraction = 0.0
-    for it in range(cfg.fp_max_iter + 1):
+    for it in range(FP_MAX_ITER + 1):
         Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
         res = float(np.linalg.norm(Fx))
         if res <= target:
             return x, SolveStats(it, res, contraction, "newton")
-        if it == cfg.fp_max_iter:
+        if it == FP_MAX_ITER:
             break
-        J = np.atleast_2d(np.asarray(jac(x), dtype=float)) if jac is not None \
-            else _fd_jacobian(F, x, Fx, cfg.fd_jacobian_step)
+        J = _fd_jacobian(F, x, Fx)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > 1e14:
             raise SingularJacobian(f"Jacobian ill-conditioned at x={x!r}")
         step = np.linalg.solve(J, -Fx)
@@ -144,7 +139,7 @@ def newton(F: Callable[[Array], Array], x0: Array,
             contraction = step_norm / prev_step
         prev_step = step_norm
         x = x + step
-    raise NoConvergence(f"Newton not converged in {cfg.fp_max_iter} iterations")
+    raise NoConvergence(f"Newton not converged in {FP_MAX_ITER} iterations")
 
 
 def bracketed_root(phi: Callable[[float], float], a: float, b: float,
@@ -163,7 +158,7 @@ def bracketed_root(phi: Callable[[float], float], a: float, b: float,
         raise BracketError(f"phi({a})={fa:.3e} and phi({b})={fb:.3e} do not bracket a root")
     c, fc = a, fa
     e = d = b - a
-    for _ in range(cfg.root_max_iter):
+    for _ in range(ROOT_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -204,7 +199,7 @@ def bracketed_root(phi: Callable[[float], float], a: float, b: float,
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             e = d = b - a
-    raise NoConvergence(f"bracketed root not converged in {cfg.root_max_iter} iterations")
+    raise NoConvergence(f"bracketed root not converged in {ROOT_MAX_ITER} iterations")
 
 
 def quadratic_root_bound(a: float, b: float, c: float) -> float:

@@ -46,8 +46,8 @@ solver.fp_tol=1e-13
         assert cfg.scheme_minus_name == "dmm-elliptic"
 
     def test_solver_overrides(self):
-        cfg = build_config({"solver.fp_tol": "1e-12", "solver.fp_max_iter": "7"})
-        assert cfg.solver.fp_tol == 1e-12 and cfg.solver.fp_max_iter == 7
+        cfg = build_config({"solver.fp_tol": "1e-12", "solver.root_tol_t": "1e-10"})
+        assert cfg.solver.fp_tol == 1e-12 and cfg.solver.root_tol_t == 1e-10
 
     def test_system_parameter_overrides(self):
         cfg = build_config({"system.omega2_minus": "5.0"})
@@ -63,12 +63,21 @@ solver.fp_tol=1e-13
 
     @pytest.mark.parametrize("key,value", [("tua", "0.5"),
                                            ("system.omega2_minsu", "9"),
-                                           ("seed", "0")])
+                                           ("seed", "0"),
+                                           ("solver.fp_max_iter", "7")])
     def test_unknown_key_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[-1]):
             build_config({key: value})
         rc = main(["integrate", "--out", str(tmp_path / "u"), "--set", f"{key}={value}"])
         assert rc == 2
+
+    @pytest.mark.parametrize("setting", ["x0=1", "x0=1,1,1", "x0=nan,1", "T=nan",
+                                         "tau=nan", "t0=nan", "tau=inf"])
+    def test_malformed_run_input_is_config_error(self, tmp_path, setting):
+        rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
+                   "--set", setting])
+        assert rc == 2
+        assert not (tmp_path / "m_trajectory.csv").exists()
 
     def test_bad_scheme_is_config_error(self):
         from pwsint.errors import ConfigError

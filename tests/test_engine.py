@@ -1,15 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import pwsint.engine as engine
 from pwsint import (
     ConservedSet,
     PwsSystem,
     RegionSide,
     SolverConfig,
     SwitchingSurface,
-    complete_step,
     conserved_error_series,
     harmonic_oracle,
     integrate,
@@ -19,7 +20,7 @@ from pwsint import (
     side_of,
     smooth_step,
 )
-from pwsint.engine import CrossingEvent, _solve_leg
+from pwsint.engine import _solve_leg
 from pwsint.errors import (
     InvalidInitialCondition,
     NonTransversalCrossing,
@@ -112,25 +113,31 @@ class TestLocateCrossing:
             locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
                             np.array([1.0, 1.0]), 0.1, CFG)
 
+    def test_each_in_step_time_solved_once(self, harmonic, monkeypatch):
+        # An explicit leg evaluates its field once, with its target time,
+        # so the recorded targets are the in-step times that were solved.
+        dvf = resolve_scheme("rk4", harmonic, RegionSide.PLUS)
+        targets = []
 
-class TestCompleteStep:
-    def test_zero_length_leg(self, harmonic_dmm):
-        ev = CrossingEvent(t_hat=0.5, x_hat=np.array([SQRT2, 0.0]))
-        np.testing.assert_array_equal(
-            complete_step(harmonic_dmm[0], ev, 0.5, CFG), ev.x_hat)
+        def recording(t_a, x_a, t_b, x_b):
+            targets.append(t_b)
+            return dvf.evaluate(t_a, x_a, t_b, x_b)
 
-    def test_completion_conserves_new_side_invariant(self, harmonic, harmonic_dmm):
-        # Down-crossing at (sqrt2, 0): the minus-side energy there is
-        # 3*(sqrt2)^2/2 = 3 and the conservative completion keeps it.
-        ev = CrossingEvent(t_hat=PI4, x_hat=np.array([SQRT2, 0.0]))
-        x1 = complete_step(harmonic_dmm[0], ev, PI4 + 5e-4, CFG)
-        psi = harmonic.conserved_minus.values(x1)
-        np.testing.assert_allclose(psi, [3.0], rtol=0, atol=1e-13)
+        brent_evals = []
+        root = engine.bracketed_root
 
-    def test_target_before_crossing_rejected(self, harmonic_dmm):
-        ev = CrossingEvent(t_hat=0.5, x_hat=np.array([SQRT2, 0.0]))
-        with pytest.raises(ValueError):
-            complete_step(harmonic_dmm[0], ev, 0.4, CFG)
+        def counting_root(phi, a, b, cfg):
+            def counted(t):
+                brent_evals.append(t)
+                return phi(t)
+            return root(counted, a, b, cfg)
+
+        monkeypatch.setattr(engine, "bracketed_root", counting_root)
+        ev = locate_crossing(dataclasses.replace(dvf, evaluate=recording),
+                             harmonic.surface, 0.0, np.array([1.0, 1.0]), 0.83, CFG)
+        assert len(targets) == len(set(targets))
+        # phi(t_b) on entry, then every evaluation of the bracket solve
+        assert ev.stats_locate.iterations == 1 + len(brent_evals)
 
 
 class TestIntegrate:
@@ -237,6 +244,21 @@ class TestIntegrate:
         from pwsint.errors import ConfigError
         with pytest.raises(ConfigError):
             run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3, max_steps=100)
+
+    @pytest.mark.parametrize("x0,t0,T,tau", [
+        ([1.0], 0.0, 1.0, 1e-3),
+        ([1.0, 1.0, 1.0], 0.0, 1.0, 1e-3),
+        ([math.nan, 1.0], 0.0, 1.0, 1e-3),
+        ([1.0, 1.0], math.nan, 1.0, 1e-3),
+        ([1.0, 1.0], 0.0, math.nan, 1e-3),
+        ([1.0, 1.0], 0.0, 1.0, math.nan),
+        ([1.0, 1.0], 0.0, 1.0, math.inf),
+    ])
+    def test_malformed_inputs_are_config_errors(self, harmonic, harmonic_dmm,
+                                                x0, t0, T, tau):
+        from pwsint.errors import ConfigError
+        with pytest.raises(ConfigError):
+            integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1], x0, t0, T, tau)
 
     def test_region_segments_reference_values(self, harmonic, harmonic_dmm):
         # psi_plus = 1 on plus segments, psi_minus = 3 on minus segments

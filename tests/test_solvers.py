@@ -49,9 +49,8 @@ class TestFixedPoint:
 
     def test_iteration_cap(self):
         from pwsint.errors import NoConvergence
-        slow = SolverConfig(fp_tol=1e-14, fp_max_iter=3)
         with pytest.raises(NoConvergence):
-            fixed_point(lambda x: 0.9999 * x + 1.0, np.array([0.0]), slow)
+            fixed_point(lambda x: 0.9999 * x + 1.0, np.array([0.0]), CFG, max_iter=3)
 
 
 class TestNewton:
@@ -59,11 +58,6 @@ class TestNewton:
         x, stats = newton(lambda x: x * x - 2.0, np.array([1.0]), CFG)
         assert math.isclose(float(x[0]), math.sqrt(2.0), rel_tol=1e-12)
         assert stats.method_used == "newton"
-
-    def test_sqrt2_with_analytic_jacobian(self):
-        x, _ = newton(lambda x: x * x - 2.0, np.array([1.0]), CFG,
-                      jac=lambda x: np.array([[2.0 * x[0]]]))
-        assert math.isclose(float(x[0]), math.sqrt(2.0), rel_tol=1e-12)
 
     def test_degenerate_double_root_converges_slowly(self):
         # F = x^2 at the root x = 0 has a singular Jacobian in the limit;
@@ -131,7 +125,7 @@ class TestBracketedRoot:
 
         root = bracketed_root(phi, -1.0, 1.0, CFG)
         assert math.isclose(root, 0.123456789, abs_tol=1e-12)
-        assert len(seen) <= CFG.root_max_iter
+        assert len(seen) <= 200  # the iteration cap of bracketed_root
         assert all(-1.0 <= t <= 1.0 for t in seen)
 
 
