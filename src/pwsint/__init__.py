@@ -36,7 +36,6 @@ from .schemes import (
     rk4_dvf,
 )
 from .solvers import (
-    SolverConfig,
     SolveStats,
     bracketed_root,
     fixed_point,
@@ -48,7 +47,7 @@ from .systems import elliptic_system, harmonic_system, make_system, resolve_sche
 __all__ = [
     "BoundReport", "Classification", "ConservedSet", "CrossingEvent",
     "DiscreteVectorField", "HarmonicOracle", "OracleEvent", "OrderEstimate",
-    "PwsSystem", "RegionSegment", "RegionSide", "SolveStats", "SolverConfig",
+    "PwsSystem", "RegionSegment", "RegionSide", "SolveStats",
     "SwitchingSurface", "Trajectory", "bracketed_root", "check_crossing_bound",
     "classify_interface_point", "conserved_error_series",
     "crossing_time_errors", "discrete_transversality",

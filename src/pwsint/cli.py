@@ -1,7 +1,7 @@
 """Experiment runner: integrate, sweep, perturb, conserve, classify.
 
 Configuration is a plain key=value text file with dotted keys
-(``solver.fp_tol=1e-14``), overridable with repeated ``--set key=value``
+(``perturbation.p=2``), overridable with repeated ``--set key=value``
 flags; a key that nothing reads is rejected.  All results are written
 as CSV with floats at 17 significant digits so they round-trip exactly.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -21,10 +21,7 @@ from .engine import Trajectory, integrate
 from .errors import ConfigError, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 from .oracles import harmonic_oracle, reference_trajectory
-from .solvers import SolverConfig
 from .systems import SYSTEMS, make_system, resolve_scheme
-
-_SOLVER_KEYS = ("fp_tol", "root_tol_t")
 
 # Every key read below or by ``main``; ``system.<p>`` keys are the
 # system factory's parameters and are checked by ``make_system``.
@@ -32,7 +29,6 @@ _KEYS = frozenset({
     "system", "scheme.minus", "scheme.plus", "x0", "t0", "T", "tau", "taus",
     "tau_ref", "events_after", "perturbation.c", "perturbation.p",
     "max_crossings_per_step", "max_events", "points",
-    *(f"solver.{name}" for name in _SOLVER_KEYS),
 })
 
 
@@ -91,7 +87,6 @@ class ExperimentConfig:
     taus: tuple
     tau_ref: float
     perturbation: tuple | None
-    solver: SolverConfig
     out: str
     events_after: tuple
     max_crossings_per_step: int
@@ -111,13 +106,6 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
               for key in kv if key.startswith("system.")}
     system = make_system(name, **params)
     spec = SYSTEMS[name]
-
-    solver_kwargs = {name: _get(kv, f"solver.{name}", float, None)
-                     for name in _SOLVER_KEYS if f"solver.{name}" in kv}
-    try:
-        solver = SolverConfig(**solver_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     perturbation = None
     if "perturbation.p" in kv:
@@ -146,7 +134,6 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         taus=_get(kv, "taus", _floats, ()),
         tau_ref=_get(kv, "tau_ref", float, 1.6e-5),
         perturbation=perturbation,
-        solver=solver,
         out=out,
         events_after=_get(kv, "events_after", _ints, (10, 20, 30)),
         max_crossings_per_step=_get(kv, "max_crossings_per_step", int, 4),
@@ -164,7 +151,7 @@ def _run(config: ExperimentConfig, perturbation: tuple | None,
     return integrate(sys_, resolve_scheme(minus, sys_, RegionSide.MINUS),
                      resolve_scheme(plus, sys_, RegionSide.PLUS), config.x0, config.t0,
                      config.T, tau if tau is not None else config.tau,
-                     cfg=config.solver, perturbation=perturbation,
+                     perturbation=perturbation,
                      max_crossings_per_step=config.max_crossings_per_step,
                      max_events=config.max_events)
 
@@ -228,8 +215,7 @@ def _reference_for(config: ExperimentConfig):
         return oracle, [ev.t_star for ev in events]
     smallest = min(config.taus) if config.taus else config.tau
     ref, events = reference_trajectory(sys_, config.x0, config.t0, T_ref,
-                                       config.tau_ref, cfg=config.solver,
-                                       tau_study=smallest)
+                                       config.tau_ref, tau_study=smallest)
 
     def state(t: float):
         # linear interpolation between reference samples; its O(tau_ref^2)

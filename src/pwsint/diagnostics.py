@@ -19,7 +19,6 @@ from .engine import CrossingEvent, Trajectory, smooth_step
 from .model import PwsSystem, RegionSide, classify_interface_point, field_for_side
 from .oracles import OracleEvent
 from .schemes import DiscreteVectorField
-from .solvers import SolverConfig
 
 Array = np.ndarray
 
@@ -121,7 +120,6 @@ def _window_indices(traj: Trajectory, event: CrossingEvent, width: int) -> range
 def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
                          oracle_t_star: float, dvf_from: DiscreteVectorField,
                          dvf_to: DiscreteVectorField,
-                         cfg: SolverConfig | None = None,
                          oracle_state=None, window: int = 5) -> BoundReport:
     """Empirical check of the crossing-time estimate at one event.
 
@@ -137,7 +135,6 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
     """
     if sys.surface.hess_g is None:
         raise UnsupportedSystem("bound check needs the Hessian of g")
-    cfg = cfg or SolverConfig()
     surface = sys.surface
     idx = _window_indices(traj, event, window)
 
@@ -188,7 +185,7 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
         def leg_sup(dvf, a, x_a, b, anchor_t, anchor_x, before: bool) -> float:
             sup = 0.0
             for t in np.linspace(a, b, 7):
-                x_t = smooth_step(dvf, a, x_a, t, cfg)
+                x_t = smooth_step(dvf, a, x_a, t)
                 if before:
                     fv = dvf.evaluate(t, x_t, anchor_t, anchor_x)
                 else:
@@ -205,9 +202,9 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
                          event.t_hat, event.x_hat, before=False)
         M_hat = 0.5 * max(m_minus, m_plus)
         if oracle_t_star <= event.t_hat:
-            x_ref = smooth_step(dvf_from, t_k, x_k, oracle_t_star, cfg)
+            x_ref = smooth_step(dvf_from, t_k, x_k, oracle_t_star)
         else:
-            x_ref = smooth_step(dvf_to, event.t_hat, event.x_hat, oracle_t_star, cfg)
+            x_ref = smooth_step(dvf_to, event.t_hat, event.x_hat, oracle_t_star)
         dx = float(np.linalg.norm(x_ref - event.x_hat))
         variant = "discrete"
         note = "M sampled at 7 points per leg; may underestimate the supremum"

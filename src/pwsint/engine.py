@@ -41,7 +41,7 @@ from .model import (
     side_of,
 )
 from .schemes import DiscreteVectorField
-from .solvers import SolveStats, SolverConfig, bracketed_root, fixed_point, newton
+from .solvers import SolveStats, bracketed_root, fixed_point, newton
 
 Array = np.ndarray
 
@@ -109,8 +109,8 @@ class Trajectory:
                 yield seg, seg.start_index, hi
 
 
-def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
-               cfg: SolverConfig) -> tuple[Array, SolveStats]:
+def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array,
+               t_b: float) -> tuple[Array, SolveStats]:
     """Solve x = x_a + (t_b - t_a) * dvf(t_a, x_a, t_b, x) for x.
 
     Explicit fields evaluate directly.  Implicit ones run fixed-point
@@ -129,22 +129,20 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
 
     guess = step_map(x_a)
     try:
-        return fixed_point(step_map, guess, cfg, max_iter=NEWTON_FALLBACK_AFTER)
+        return fixed_point(step_map, guess, max_iter=NEWTON_FALLBACK_AFTER)
     except (DivergingFixedPoint, NoConvergence):
-        x, stats = newton(lambda x: x - step_map(x), guess, cfg)
+        x, stats = newton(lambda x: x - step_map(x), guess)
         return x, stats
 
 
-def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array, t_target: float,
-                cfg: SolverConfig | None = None) -> Array:
+def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array,
+                t_target: float) -> Array:
     """One step of the discrete field from (t_k, x_k) to t_target."""
-    return _solve_leg(dvf, t_k, np.asarray(x_k, dtype=float), t_target,
-                      cfg or SolverConfig())[0]
+    return _solve_leg(dvf, t_k, np.asarray(x_k, dtype=float), t_target)[0]
 
 
 def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
-                    t_k: float, x_k: Array, tau: float,
-                    cfg: SolverConfig | None = None) -> CrossingEvent:
+                    t_k: float, x_k: Array, tau: float) -> CrossingEvent:
     """Localize the interface crossing inside the step [t_k, t_k + tau].
 
     Runs a bracketed scalar root solve on phi(t) = g(xhat(t)), where
@@ -155,7 +153,6 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
     """
-    cfg = cfg or SolverConfig()
     x_k = np.asarray(x_k, dtype=float)
     t_b = t_k + tau
     n_evals = 0
@@ -165,7 +162,7 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
 
     def leg(t: float) -> tuple[Array, SolveStats]:
         if t not in legs:
-            legs[t] = _solve_leg(dvf_from, t_k, x_k, t, cfg)
+            legs[t] = _solve_leg(dvf_from, t_k, x_k, t)
         return legs[t]
 
     def phi(t: float) -> float:
@@ -207,7 +204,7 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
         raise ValueError("no sign change across the step: locate_crossing needs "
                          "strictly opposite signs at the endpoints")
 
-    t_hat = bracketed_root(phi, a_eff, t_b, cfg)
+    t_hat = bracketed_root(phi, a_eff, t_b)
     x_hat, inner = leg(t_hat)
     g_hat = surface.value(x_hat)
     stats = SolveStats(iterations=n_evals, residual=abs(g_hat),
@@ -220,12 +217,11 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
 class _Run:
     """Mutable state of one integration; not part of the public API."""
 
-    def __init__(self, sys: PwsSystem, dvfs: dict, cfg: SolverConfig,
-                 tau: float, perturbation: tuple[float, float] | None,
+    def __init__(self, sys: PwsSystem, dvfs: dict, tau: float,
+                 perturbation: tuple[float, float] | None,
                  max_crossings_per_step: int, max_events: int):
         self.sys = sys
         self.dvfs = dvfs
-        self.cfg = cfg
         self.tau = tau
         self.pert = perturbation
         self.max_crossings_per_step = max_crossings_per_step
@@ -259,7 +255,7 @@ class _Run:
 
         while True:
             dvf = self.dvfs[leg_side]
-            x_prop, solve_stats = _solve_leg(dvf, leg_t, leg_x, t_b, self.cfg)
+            x_prop, solve_stats = _solve_leg(dvf, leg_t, leg_x, t_b)
             s2 = side_of(surface, x_prop)
             if s2 is leg_side:
                 close_pending(t_b, x_prop, solve_stats)
@@ -278,7 +274,7 @@ class _Run:
                                    residual_g=surface.value(x_prop),
                                    stats_locate=solve_stats)
             else:
-                ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t, self.cfg)
+                ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t)
             ev.step_index = k
             close_pending(ev.t_hat, ev.x_hat, ev.stats_locate)
 
@@ -320,8 +316,7 @@ class _Run:
 
 def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
               scheme_plus: DiscreteVectorField, x0, t0: float, T: float,
-              tau: float, cfg: SolverConfig | None = None,
-              perturbation: tuple[float, float] | None = None,
+              tau: float, perturbation: tuple[float, float] | None = None,
               max_steps: int = 10_000_000, max_crossings_per_step: int = 4,
               max_events: int = 100_000) -> Trajectory:
     """Integrate the system on the uniform grid t0 + k*tau up to T.
@@ -334,7 +329,6 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     independent integrations share no mutable state, so they may run
     concurrently.
     """
-    cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"x0 must be {sys.dim} finite numbers, got {x0!r}")
@@ -348,6 +342,9 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     n_steps = int(round(span / tau))
     if n_steps > max_steps:
         raise ConfigError(f"{n_steps} steps exceed the cap {max_steps}")
+    if max_crossings_per_step < 1 or max_events < 1:
+        raise ConfigError(f"max_crossings_per_step={max_crossings_per_step} and "
+                          f"max_events={max_events} must both be at least 1")
 
     side = side_of(sys.surface, x0)
     if side is RegionSide.ON_SURFACE:
@@ -355,7 +352,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     sys.conserved(side).check_rank(x0)
 
     run = _Run(sys, {RegionSide.MINUS: scheme_minus, RegionSide.PLUS: scheme_plus},
-               cfg, tau, perturbation, max_crossings_per_step, max_events)
+               tau, perturbation, max_crossings_per_step, max_events)
     run.segments.append(RegionSegment(0, side, sys.conserved(side).values(x0)))
 
     times = t0 + tau * np.arange(n_steps + 1)

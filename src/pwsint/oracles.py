@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInitialCondition
 from .model import PwsSystem, RegionSide
 from .schemes import rk4_dvf
-from .solvers import SolverConfig
 from .engine import Trajectory, integrate
 
 Array = np.ndarray
@@ -118,7 +117,6 @@ def harmonic_oracle(omega2_minus: float, omega2_plus: float, x0, t0: float,
 
 
 def reference_trajectory(sys: PwsSystem, x0, t0: float, T: float, tau_ref: float,
-                         cfg: SolverConfig | None = None,
                          tau_study: float | None = None,
                          ) -> tuple[Trajectory, list[OracleEvent]]:
     """High-resolution RK4 run used as 'exact' for coarser studies.
@@ -132,8 +130,7 @@ def reference_trajectory(sys: PwsSystem, x0, t0: float, T: float, tau_ref: float
             f"reference step {tau_ref} is too coarse for study step {tau_study}; "
             "need a ratio of at least 50")
     dvf = rk4_dvf  # same scheme on both sides
-    traj = integrate(sys, dvf(sys.f_minus), dvf(sys.f_plus), x0, t0, T, tau_ref,
-                     cfg=cfg)
+    traj = integrate(sys, dvf(sys.f_minus), dvf(sys.f_plus), x0, t0, T, tau_ref)
     events = [OracleEvent(ev.t_hat, ev.x_hat.copy(), ev.side_from, ev.side_to)
               for ev in traj.events]
     return traj, events

@@ -1,7 +1,7 @@
 """Nonlinear solvers used by the implicit stepping machinery.
 
 Small, dense, deterministic: fixed-point iteration with contraction
-monitoring, damped-free Newton with a forward-difference Jacobian, a
+monitoring, undamped Newton with a forward-difference Jacobian, a
 Brent-style bracketed scalar root finder, and a root bound for the
 quadratic inequalities that appear in crossing-time estimates.
 
@@ -29,28 +29,14 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+# An iterate x is accepted when the relevant residual is below
+# FP_TOL * (1 + |x|); ROOT_TOL_T is the absolute bracket-width target of
+# the scalar root finder.
+FP_TOL = 1e-14
+ROOT_TOL_T = 1e-14
 FP_MAX_ITER = 100  # default fixed-point cap, and the Newton cap
 ROOT_MAX_ITER = 200
 FD_JACOBIAN_STEP = math.sqrt(_EPS)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The two tolerances shared by the solvers.
-
-    ``fp_tol`` is used as a mixed tolerance: an iterate x is accepted
-    when the relevant residual is below fp_tol * (1 + |x|).
-    ``root_tol_t`` is the absolute bracket-width target of the scalar
-    root finder.  The iteration caps and the finite-difference step are
-    module constants.
-    """
-
-    fp_tol: float = 1e-14
-    root_tol_t: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not (self.fp_tol > 0 and self.root_tol_t > 0):
-            raise ValueError("all tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,11 +50,10 @@ class SolveStats:
     iterations: int
     residual: float
     contraction_estimate: float
-    method_used: str  # "fixed_point" or "newton"
+    method_used: str  # "fixed_point", "newton" or "explicit"
 
 
 def fixed_point(map_: Callable[[Array], Array], x0: Array,
-                cfg: SolverConfig | None = None,
                 max_iter: int = FP_MAX_ITER) -> tuple[Array, SolveStats]:
     """Iterate x <- map(x) until the update is below the mixed tolerance.
 
@@ -77,12 +62,10 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
     DivergingFixedPoint, which for step maps signals that the step size
     exceeds the contraction restriction.
     """
-    cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float)
     prev_delta = -1.0
     contraction = 0.0
     expanding = 0
-    tol = cfg.fp_tol
     for it in range(1, max_iter + 1):
         x_new = np.asarray(map_(x), dtype=float)
         diff = x_new - x
@@ -93,7 +76,7 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
             if expanding >= 5:
                 raise DivergingFixedPoint(
                     f"update ratio {contraction:.3g} >= 1 sustained over 5 iterations")
-        if delta <= tol * (1.0 + math.sqrt(float(x_new.dot(x_new)))):
+        if delta <= FP_TOL * (1.0 + math.sqrt(float(x_new.dot(x_new)))):
             return x_new, SolveStats(it, delta, contraction, "fixed_point")
         prev_delta = delta
         x = x_new
@@ -111,16 +94,14 @@ def _fd_jacobian(F: Callable[[Array], Array], x: Array, Fx: Array) -> Array:
     return J
 
 
-def newton(F: Callable[[Array], Array], x0: Array,
-           cfg: SolverConfig | None = None) -> tuple[Array, SolveStats]:
+def newton(F: Callable[[Array], Array], x0: Array) -> tuple[Array, SolveStats]:
     """Newton iteration on F(x) = 0 with a forward-difference Jacobian.
 
-    Accepts when |F(x)| <= fp_tol * (1 + |x0|).  A Jacobian with
+    Accepts when |F(x)| <= FP_TOL * (1 + |x0|).  A Jacobian with
     condition estimate above 1e14 raises SingularJacobian.
     """
-    cfg = cfg or SolverConfig()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    target = cfg.fp_tol * (1.0 + float(np.linalg.norm(x)))
+    target = FP_TOL * (1.0 + float(np.linalg.norm(x)))
     prev_step = -1.0
     contraction = 0.0
     for it in range(FP_MAX_ITER + 1):
@@ -142,16 +123,14 @@ def newton(F: Callable[[Array], Array], x0: Array,
     raise NoConvergence(f"Newton not converged in {FP_MAX_ITER} iterations")
 
 
-def bracketed_root(phi: Callable[[float], float], a: float, b: float,
-                   cfg: SolverConfig | None = None) -> float:
+def bracketed_root(phi: Callable[[float], float], a: float, b: float) -> float:
     """Root of a continuous scalar function on a sign-change bracket.
 
     Brent's method: inverse-quadratic / secant steps safeguarded by
     bisection, so convergence is guaranteed for any continuous phi and
     every evaluation stays inside [a, b].  Terminates when the bracket
-    width falls below 2*eps*|t| + root_tol_t / 2.
+    width falls below 2*eps*|t| + ROOT_TOL_T / 2.
     """
-    cfg = cfg or SolverConfig()
     fa = float(phi(a))
     fb = float(phi(b))
     if fa * fb >= 0.0:
@@ -162,7 +141,7 @@ def bracketed_root(phi: Callable[[float], float], a: float, b: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * cfg.root_tol_t
+        tol = 2.0 * _EPS * abs(b) + 0.5 * ROOT_TOL_T
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

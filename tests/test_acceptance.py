@@ -15,7 +15,6 @@ import pytest
 
 from pwsint import (
     RegionSide,
-    SolverConfig,
     conserved_error_series,
     crossing_time_errors,
     elliptic_dmm_dvf,
@@ -27,11 +26,11 @@ from pwsint import (
     quadratic_root_bound,
     reference_trajectory,
     resolve_scheme,
+    solvers,
 )
 from pwsint.engine import _solve_leg
 from pwsint.errors import DivergingFixedPoint
 
-CFG = SolverConfig()
 
 TAUS = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
 T_CONSERVE = 85.0   # >= 30 crossings for the harmonic system
@@ -219,7 +218,7 @@ def test_criterion_7_property_suites(harmonic, elliptic):
             for _ in range(250):
                 x_a = rng.uniform(-box, box, size=2)
                 tau = float(rng.uniform(1e-4, 2e-2))
-                x_b, _ = _solve_leg(dvf, 0.0, x_a, tau, CFG)
+                x_b, _ = _solve_leg(dvf, 0.0, x_a, tau)
                 dpsi = np.max(np.abs(psi(x_b) - psi(x_a)))
                 assert dpsi <= 1e-12 * max(1.0, float(np.max(np.abs(psi(x_a)))))
 
@@ -231,9 +230,9 @@ def test_criterion_7_property_suites(harmonic, elliptic):
             for _ in range(100):
                 x_a = rng.uniform(-1.5, 1.5, size=2)
                 tau = float(rng.uniform(1e-4, 2e-2))
-                x_b, _ = _solve_leg(dvf, 0.0, x_a, tau, CFG)
-                x_back, _ = _solve_leg(dvf, tau, x_b, 0.0, CFG)
-                assert np.linalg.norm(x_back - x_a) <= 10.0 * CFG.fp_tol * (
+                x_b, _ = _solve_leg(dvf, 0.0, x_a, tau)
+                x_back, _ = _solve_leg(dvf, tau, x_b, 0.0)
+                assert np.linalg.norm(x_back - x_a) <= 10.0 * solvers.FP_TOL * (
                     1.0 + np.linalg.norm(x_a))
 
         # (c) exactly one sign change of phi(t) = g(xhat(t)) per localized
@@ -249,7 +248,7 @@ def test_criterion_7_property_suites(harmonic, elliptic):
                 t_k, x_k = traj.times[k], traj.states[k]
                 signs = []
                 for t in np.linspace(t_k, t_k + traj.tau, 100):
-                    x, _ = _solve_leg(dvfs[ev.side_from], t_k, x_k, float(t), CFG)
+                    x, _ = _solve_leg(dvfs[ev.side_from], t_k, x_k, float(t))
                     gv = sys_.surface.value(x)
                     if abs(gv) > sys_.surface.on_surface_tol:
                         signs.append(gv > 0.0)
@@ -258,7 +257,7 @@ def test_criterion_7_property_suites(harmonic, elliptic):
 
         # (d) expansive fixed-point map is flagged as diverging
         with pytest.raises(DivergingFixedPoint):
-            fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.0]), CFG)
+            fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.0]))
 
         # (e) quadratic root bound against its series bound, 1000 samples
         for _ in range(1000):

@@ -25,10 +25,10 @@ class TestConfigParsing:
 # comment line
 system=harmonic
 tau = 5e-3   # trailing comment
-solver.fp_tol=1e-13
+system.omega2_minus=3.5
 """)
         kv = parse_kv_file(path)
-        assert kv == {"system": "harmonic", "tau": "5e-3", "solver.fp_tol": "1e-13"}
+        assert kv == {"system": "harmonic", "tau": "5e-3", "system.omega2_minus": "3.5"}
 
     def test_bad_line_rejected(self, tmp_path):
         path = write_config(tmp_path, "this is not a key value pair\n")
@@ -45,10 +45,6 @@ solver.fp_tol=1e-13
         assert cfg.x0 == (-1.0, -1.0)
         assert cfg.scheme_minus_name == "dmm-elliptic"
 
-    def test_solver_overrides(self):
-        cfg = build_config({"solver.fp_tol": "1e-12", "solver.root_tol_t": "1e-10"})
-        assert cfg.solver.fp_tol == 1e-12 and cfg.solver.root_tol_t == 1e-10
-
     def test_system_parameter_overrides(self):
         cfg = build_config({"system.omega2_minus": "5.0"})
         assert cfg.system.params["omega2_minus"] == 5.0
@@ -64,7 +60,9 @@ solver.fp_tol=1e-13
     @pytest.mark.parametrize("key,value", [("tua", "0.5"),
                                            ("system.omega2_minsu", "9"),
                                            ("seed", "0"),
-                                           ("solver.fp_max_iter", "7")])
+                                           ("solver.fp_max_iter", "7"),
+                                           ("solver.fp_tol", "1e-13"),
+                                           ("solver.root_tol_t", "1e-10")])
     def test_unknown_key_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[-1]):
             build_config({key: value})
@@ -72,7 +70,9 @@ solver.fp_tol=1e-13
         assert rc == 2
 
     @pytest.mark.parametrize("setting", ["x0=1", "x0=1,1,1", "x0=nan,1", "T=nan",
-                                         "tau=nan", "t0=nan", "tau=inf"])
+                                         "tau=nan", "t0=nan", "tau=inf",
+                                         "max_crossings_per_step=0",
+                                         "max_crossings_per_step=-1", "max_events=0"])
     def test_malformed_run_input_is_config_error(self, tmp_path, setting):
         rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
                    "--set", setting])

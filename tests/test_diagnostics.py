@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pwsint import (
-    SolverConfig,
     check_crossing_bound,
     conserved_error_series,
     crossing_time_errors,
@@ -20,7 +19,6 @@ from pwsint.errors import (EvaluationError, EventMismatch, InsufficientData,
 from pwsint.model import ConservedSet, PwsSystem, SwitchingSurface
 from pwsint.oracles import OracleEvent
 
-CFG = SolverConfig()
 
 
 class TestEstimateOrder:
@@ -115,14 +113,14 @@ class TestCrossingBound:
         oracle, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 10.0)
         for ev, ov in zip(traj.events, oracle_events):
             rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
-                                       harmonic_dmm[0], harmonic_dmm[1], CFG,
+                                       harmonic_dmm[0], harmonic_dmm[1],
                                        oracle_state=oracle)
             assert rep.satisfied, rep
             assert rep.variant == "continuous"
             assert math.isclose(rep.L_g_hat, 1.0, rel_tol=1e-12)
         first = check_crossing_bound(traj, harmonic, traj.events[0],
                                      oracle_events[0].t_star,
-                                     harmonic_dmm[0], harmonic_dmm[1], CFG,
+                                     harmonic_dmm[0], harmonic_dmm[1],
                                      oracle_state=oracle)
         assert math.isclose(first.alpha_sq_hat, math.sqrt(2.0), rel_tol=1e-6)
         assert first.M_hat < 0.05  # near zero: sampled |omega^2 y| close to S
@@ -138,7 +136,7 @@ class TestCrossingBound:
         assert len(traj.events) == len(ref_events) >= 3
         for ev, ov in zip(traj.events, ref_events):
             rep = check_crossing_bound(traj, elliptic, ev, ov.t_star,
-                                       elliptic_dmm[0], elliptic_dmm[1], CFG)
+                                       elliptic_dmm[0], elliptic_dmm[1])
             assert rep.satisfied, rep
             assert rep.variant == "discrete"
             assert rep.M_hat > 0.0
@@ -155,7 +153,7 @@ class TestCrossingBound:
                          [1.0, 1.0], 0.0, 1.0, 1e-3)
         with pytest.raises(UnsupportedSystem):
             check_crossing_bound(traj, bare, traj.events[0], math.pi / 4,
-                                 harmonic_dmm[0], harmonic_dmm[1], CFG)
+                                 harmonic_dmm[0], harmonic_dmm[1])
 
 
 class TestDiscreteTransversality:

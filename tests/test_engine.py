@@ -9,7 +9,6 @@ from pwsint import (
     ConservedSet,
     PwsSystem,
     RegionSide,
-    SolverConfig,
     SwitchingSurface,
     conserved_error_series,
     harmonic_oracle,
@@ -19,6 +18,7 @@ from pwsint import (
     rk4_dvf,
     side_of,
     smooth_step,
+    solvers,
 )
 from pwsint.engine import _solve_leg
 from pwsint.errors import (
@@ -30,7 +30,6 @@ from pwsint.errors import (
 
 from conftest import midpoint_harmonic_step
 
-CFG = SolverConfig()
 SQRT2 = math.sqrt(2.0)
 PI4 = math.pi / 4.0
 
@@ -41,30 +40,30 @@ def run_harmonic(harmonic, schemes, T, tau, **kw):
 
 class TestSmoothStep:
     def test_midpoint_step_oracle(self, harmonic_dmm):
-        x = smooth_step(harmonic_dmm[1], 0.0, np.array([1.0, 1.0]), 0.1, CFG)
+        x = smooth_step(harmonic_dmm[1], 0.0, np.array([1.0, 1.0]), 0.1)
         np.testing.assert_allclose(x, midpoint_harmonic_step(1.0, [1.0, 1.0], 0.1),
                                    rtol=0, atol=1e-14)
 
     def test_zero_length_step_explicit(self, harmonic_rk2):
         x0 = np.array([0.3, 0.7])
         np.testing.assert_array_equal(
-            smooth_step(harmonic_rk2[1], 1.0, x0, 1.0, CFG), x0)
+            smooth_step(harmonic_rk2[1], 1.0, x0, 1.0), x0)
 
     def test_zero_length_step_implicit(self, harmonic_dmm):
         x0 = np.array([0.3, 0.7])
         np.testing.assert_array_equal(
-            smooth_step(harmonic_dmm[1], 1.0, x0, 1.0, CFG), x0)
+            smooth_step(harmonic_dmm[1], 1.0, x0, 1.0), x0)
 
     def test_step_equation_residual(self, harmonic_dmm):
         dvf = harmonic_dmm[0]
         x0 = np.array([0.5, -1.0])
-        x1 = smooth_step(dvf, 0.0, x0, 0.01, CFG)
+        x1 = smooth_step(dvf, 0.0, x0, 0.01)
         res = x1 - x0 - 0.01 * dvf.evaluate(0.0, x0, 0.01, x1)
-        assert np.linalg.norm(res) <= 10.0 * CFG.fp_tol * (1 + np.linalg.norm(x1))
+        assert np.linalg.norm(res) <= 10.0 * solvers.FP_TOL * (1 + np.linalg.norm(x1))
 
     def test_elliptic_single_step_conserves(self, elliptic, elliptic_dmm):
         x0 = np.array([-1.0, -1.0])
-        x1 = smooth_step(elliptic_dmm[1], 0.0, x0, 1e-3, CFG)
+        x1 = smooth_step(elliptic_dmm[1], 0.0, x0, 1e-3)
         psi0 = elliptic.conserved_plus.values(x0)
         psi1 = elliptic.conserved_plus.values(x1)
         assert np.max(np.abs(psi1 - psi0)) <= 1e-13
@@ -77,7 +76,7 @@ class TestLocateCrossing:
         # crossing of y = 0 happens at exactly t = 2*tan(pi/8), and the
         # crossing point is pinned to {x^2 + y^2 = 2} & {y = 0}.
         ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                             np.array([1.0, 1.0]), 0.83, CFG)
+                             np.array([1.0, 1.0]), 0.83)
         assert math.isclose(ev.t_hat, 2.0 * math.tan(math.pi / 8.0), abs_tol=1e-12)
         np.testing.assert_allclose(ev.x_hat, [SQRT2, 0.0], rtol=0, atol=1e-12)
         assert abs(ev.residual_g) <= 1e-12
@@ -87,7 +86,7 @@ class TestLocateCrossing:
         tau = 1e-3
         traj = run_harmonic(harmonic, harmonic_dmm, 0.785, tau)
         ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.785,
-                             traj.states[-1], tau, CFG)
+                             traj.states[-1], tau)
         assert abs(ev.t_hat - PI4) <= 1e-5
         assert abs(ev.residual_g) <= 1e-12
 
@@ -95,7 +94,7 @@ class TestLocateCrossing:
         # Conservative localization keeps psi at its segment value, so the
         # crossing point agrees with the exact one.
         ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                             np.array([1.0, 1.0]), 0.83, CFG)
+                             np.array([1.0, 1.0]), 0.83)
         psi0 = harmonic.conserved_plus.values(np.array([1.0, 1.0]))
         psi_hat = harmonic.conserved_plus.values(ev.x_hat)
         assert np.max(np.abs(psi_hat - psi0)) <= 1e-12
@@ -111,7 +110,7 @@ class TestLocateCrossing:
     def test_no_sign_change_is_caller_error(self, harmonic, harmonic_dmm):
         with pytest.raises(ValueError):
             locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                            np.array([1.0, 1.0]), 0.1, CFG)
+                            np.array([1.0, 1.0]), 0.1)
 
     def test_each_in_step_time_solved_once(self, harmonic, monkeypatch):
         # An explicit leg evaluates its field once, with its target time,
@@ -126,15 +125,15 @@ class TestLocateCrossing:
         brent_evals = []
         root = engine.bracketed_root
 
-        def counting_root(phi, a, b, cfg):
+        def counting_root(phi, a, b):
             def counted(t):
                 brent_evals.append(t)
                 return phi(t)
-            return root(counted, a, b, cfg)
+            return root(counted, a, b)
 
         monkeypatch.setattr(engine, "bracketed_root", counting_root)
         ev = locate_crossing(dataclasses.replace(dvf, evaluate=recording),
-                             harmonic.surface, 0.0, np.array([1.0, 1.0]), 0.83, CFG)
+                             harmonic.surface, 0.0, np.array([1.0, 1.0]), 0.83)
         assert len(targets) == len(set(targets))
         # phi(t_b) on entry, then every evaluation of the bracket solve
         assert ev.stats_locate.iterations == 1 + len(brent_evals)
@@ -191,13 +190,13 @@ class TestIntegrate:
             x_a, x_b = traj.states[k], traj.states[k + 1]
             res = x_b - x_a - traj.tau * dvf[side].evaluate(
                 traj.times[k], x_a, traj.times[k + 1], x_b)
-            assert np.linalg.norm(res) <= 10 * CFG.fp_tol * (1 + np.linalg.norm(x_b))
+            assert np.linalg.norm(res) <= 10 * solvers.FP_TOL * (1 + np.linalg.norm(x_b))
 
     def test_convex_combination_residual(self, harmonic, harmonic_dmm):
         traj = run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3)
         assert traj.events
         for ev in traj.events:
-            assert ev.convex_residual <= 10 * CFG.fp_tol * (
+            assert ev.convex_residual <= 10 * solvers.FP_TOL * (
                 1 + np.linalg.norm(ev.x_hat))
 
     def test_perturbation_p15_is_identical_to_unperturbed(self, harmonic, harmonic_dmm):
@@ -229,7 +228,7 @@ class TestIntegrate:
             t_k, x_k = traj.times[k], traj.states[k]
             signs = []
             for t in np.linspace(t_k, t_k + traj.tau, 100):
-                x, _ = _solve_leg(dvf[side], t_k, x_k, float(t), CFG)
+                x, _ = _solve_leg(dvf[side], t_k, x_k, float(t))
                 gv = harmonic.surface.value(x)
                 if abs(gv) > harmonic.surface.on_surface_tol:
                     signs.append(gv > 0)
@@ -245,20 +244,25 @@ class TestIntegrate:
         with pytest.raises(ConfigError):
             run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3, max_steps=100)
 
-    @pytest.mark.parametrize("x0,t0,T,tau", [
-        ([1.0], 0.0, 1.0, 1e-3),
-        ([1.0, 1.0, 1.0], 0.0, 1.0, 1e-3),
-        ([math.nan, 1.0], 0.0, 1.0, 1e-3),
-        ([1.0, 1.0], math.nan, 1.0, 1e-3),
-        ([1.0, 1.0], 0.0, math.nan, 1e-3),
-        ([1.0, 1.0], 0.0, 1.0, math.nan),
-        ([1.0, 1.0], 0.0, 1.0, math.inf),
+    @pytest.mark.parametrize("x0,t0,T,tau,caps", [
+        pytest.param([1.0], 0.0, 1.0, 1e-3, {}, id="x00-0.0-1.0-0.001"),
+        pytest.param([1.0, 1.0, 1.0], 0.0, 1.0, 1e-3, {}, id="x01-0.0-1.0-0.001"),
+        pytest.param([math.nan, 1.0], 0.0, 1.0, 1e-3, {}, id="x02-0.0-1.0-0.001"),
+        pytest.param([1.0, 1.0], math.nan, 1.0, 1e-3, {}, id="x03-nan-1.0-0.001"),
+        pytest.param([1.0, 1.0], 0.0, math.nan, 1e-3, {}, id="x04-0.0-nan-0.001"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, math.nan, {}, id="x05-0.0-1.0-nan"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, math.inf, {}, id="x06-0.0-1.0-inf"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_crossings_per_step": 0},
+                     id="max_crossings_per_step=0"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_crossings_per_step": -1},
+                     id="max_crossings_per_step=-1"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_events": 0}, id="max_events=0"),
     ])
     def test_malformed_inputs_are_config_errors(self, harmonic, harmonic_dmm,
-                                                x0, t0, T, tau):
+                                                x0, t0, T, tau, caps):
         from pwsint.errors import ConfigError
         with pytest.raises(ConfigError):
-            integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1], x0, t0, T, tau)
+            integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1], x0, t0, T, tau, **caps)
 
     def test_region_segments_reference_values(self, harmonic, harmonic_dmm):
         # psi_plus = 1 on plus segments, psi_minus = 3 on minus segments

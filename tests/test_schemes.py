@@ -5,7 +5,6 @@ import pytest
 
 from pwsint import (
     RegionSide,
-    SolverConfig,
     conserved_error_series,
     elliptic_dmm_dvf,
     fixed_point,
@@ -22,7 +21,6 @@ from pwsint.systems import SYSTEMS
 
 from conftest import midpoint_harmonic_step
 
-CFG = SolverConfig()
 
 
 def harmonic_field(w2):
@@ -41,8 +39,7 @@ def solve_step(dvf, t_a, x_a, tau):
     """Solve the one-step equation of a (possibly implicit) scheme."""
     if not dvf.is_implicit:
         return x_a + tau * dvf.evaluate(t_a, x_a, t_a + tau, x_a)
-    x, _ = fixed_point(lambda x: x_a + tau * dvf.evaluate(t_a, x_a, t_a + tau, x),
-                       x_a, CFG)
+    x, _ = fixed_point(lambda x: x_a + tau * dvf.evaluate(t_a, x_a, t_a + tau, x), x_a)
     return x
 
 
@@ -153,7 +150,7 @@ class TestGlobalOrder:
         x = np.array([1.0, 1.0])
         n = int(round(T / tau))
         for k in range(n):
-            x = smooth_step(dvf, k * tau, x, (k + 1) * tau, CFG)
+            x = smooth_step(dvf, k * tau, x, (k + 1) * tau)
         # compare at the actual end of the grid, which may differ from T
         # when tau does not divide it exactly
         return float(np.linalg.norm(x - exact_rotation(1.0, [1.0, 1.0], n * tau)))
@@ -185,7 +182,7 @@ class TestGlobalOrder:
         x = ref.copy()
         n = 4000
         for k in range(n):
-            x = smooth_step(dvf_ref, k * (0.5 / n), x, (k + 1) * (0.5 / n), CFG)
+            x = smooth_step(dvf_ref, k * (0.5 / n), x, (k + 1) * (0.5 / n))
         x_exact = x
         taus = [2.5e-2, 1.25e-2, 6.25e-3, 3.125e-3]
         errs = []
@@ -194,7 +191,7 @@ class TestGlobalOrder:
             x = ref.copy()
             n = int(round(0.5 / tau))
             for k in range(n):
-                x = smooth_step(dvf, k * tau, x, (k + 1) * tau, CFG)
+                x = smooth_step(dvf, k * tau, x, (k + 1) * tau)
             errs.append(float(np.linalg.norm(x - x_exact)))
         est = estimate_order(taus, errs)
         assert abs(est.slope - 2) <= 0.2
