@@ -27,7 +27,14 @@ from .model import (
     field_for_side,
     side_of,
 )
-from .oracles import HarmonicOracle, OracleEvent, harmonic_oracle, reference_trajectory
+from .oracles import (
+    EllipticOracle,
+    HarmonicOracle,
+    OracleEvent,
+    elliptic_oracle,
+    harmonic_oracle,
+    reference_trajectory,
+)
 from .schemes import (
     DiscreteVectorField,
     elliptic_dmm_dvf,
@@ -46,14 +53,14 @@ from .systems import elliptic_system, harmonic_system, make_system, resolve_sche
 
 __all__ = [
     "BoundReport", "Classification", "ConservedSet", "CrossingEvent",
-    "DiscreteVectorField", "HarmonicOracle", "OracleEvent", "OrderEstimate",
-    "PwsSystem", "RegionSegment", "RegionSide", "SolveStats",
+    "DiscreteVectorField", "EllipticOracle", "HarmonicOracle", "OracleEvent",
+    "OrderEstimate", "PwsSystem", "RegionSegment", "RegionSide", "SolveStats",
     "SwitchingSurface", "Trajectory", "bracketed_root", "check_crossing_bound",
     "classify_interface_point", "conserved_error_series",
     "crossing_time_errors", "discrete_transversality",
-    "elliptic_dmm_dvf", "elliptic_system", "estimate_order", "field_for_side",
-    "fixed_point", "harmonic_oracle", "harmonic_system", "implicit_midpoint_dvf",
-    "integrate", "locate_crossing", "make_system", "newton",
+    "elliptic_dmm_dvf", "elliptic_oracle", "elliptic_system", "estimate_order",
+    "field_for_side", "fixed_point", "harmonic_oracle", "harmonic_system",
+    "implicit_midpoint_dvf", "integrate", "locate_crossing", "make_system", "newton",
     "quadratic_root_bound", "reference_trajectory", "resolve_scheme", "rk2_dvf",
     "rk4_dvf", "side_of", "smooth_step",
 ]

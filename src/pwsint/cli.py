@@ -13,6 +13,7 @@ import argparse
 import math
 import sys as _sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -20,11 +21,15 @@ from .diagnostics import conserved_error_series, estimate_order
 from .engine import Trajectory, integrate
 from .errors import ConfigError, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
-from .oracles import harmonic_oracle, reference_trajectory
+# Neither name is called here; both stay cli attributes because
+# bench/spans.py wraps them here.
+from .oracles import harmonic_oracle, reference_trajectory  # noqa: F401
 from .systems import SYSTEMS, make_system, resolve_scheme
 
-# Every key read below or by ``main``; ``system.<p>`` keys are the
-# system factory's parameters and are checked by ``make_system``.
+# Every key read below or by ``main``, and ``tau_ref``, accepted and
+# ignored so that configurations that set an RK4 reference step still
+# run; ``system.<p>`` keys are the system factory's parameters and are
+# checked by ``make_system``.
 _KEYS = frozenset({
     "system", "scheme.minus", "scheme.plus", "x0", "t0", "T", "tau", "taus",
     "tau_ref", "events_after", "perturbation.c", "perturbation.p",
@@ -32,13 +37,27 @@ _KEYS = frozenset({
 })
 
 
+# Rows per block of stacked states in the trajectory writer.
+_WRITE_CHUNK = 512
+
+
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], rows, row_format: str | None = None) -> None:
+    """Write a header line and one line per row.
+
+    Without ``row_format`` floats are formatted by ``fmt`` and anything
+    else by ``str``; with it, each row is a tuple written as
+    ``row_format % row``, whose ``%.17g`` fields give the same text.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if row_format is not None:
+            for row in rows:
+                fh.write(row_format % row)
+            return
         for row in rows:
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
@@ -85,7 +104,6 @@ class ExperimentConfig:
     T: float
     tau: float
     taus: tuple
-    tau_ref: float
     perturbation: tuple | None
     out: str
     events_after: tuple
@@ -132,7 +150,6 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         x0=x0,
         t0=t0, T=T, tau=tau,
         taus=_get(kv, "taus", _floats, ()),
-        tau_ref=_get(kv, "tau_ref", float, 1.6e-5),
         perturbation=perturbation,
         out=out,
         events_after=_get(kv, "events_after", _ints, (10, 20, 30)),
@@ -172,16 +189,25 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
     header = (["step", "t"] + [f"x_{i+1}" for i in range(d)] + ["g", "side"]
               + [f"psi_{i+1}" for i in range(d_psi)] + ["psi_error"])
 
+    row_format = ",".join(["%d"] + ["%.17g"] * (d + 2) + ["%s"]
+                          + ["%.17g"] * (d_psi + 1)) + "\n"
+
     def traj_rows():
+        # g and psi are evaluated on chunks of stacked states; each chunk
+        # becomes Python scalars at once, bounded in size so that memory
+        # stays flat however long a segment is.
         for seg, lo, hi in traj.segment_blocks():
             conserved = sys_.conserved(seg.side)
-            for k in range(lo, hi):
-                x = traj.states[k]
-                yield ([k, float(traj.times[k])] + [float(v) for v in x]
-                       + [sys_.surface.value(x), seg.side.value]
-                       + [float(v) for v in conserved.values(x)] + [float(psi_err[k])])
+            for a in range(lo, hi, _WRITE_CHUNK):
+                b = min(a + _WRITE_CHUNK, hi)
+                block = traj.states[a:b]
+                yield from zip(range(a, b), traj.times[a:b].tolist(), *block.T.tolist(),
+                               sys_.surface.stack_values(block).tolist(),
+                               repeat(seg.side.value),
+                               *conserved.stack_values(block).tolist(),
+                               psi_err[a:b].tolist())
 
-    write_csv(traj_path, header, traj_rows())
+    write_csv(traj_path, header, traj_rows(), row_format)
 
     ev_path = f"{config.out}_events.csv"
     ev_header = (["index", "t_hat"] + [f"x_hat_{i+1}" for i in range(d)]
@@ -202,29 +228,13 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
 
 
 def _reference_for(config: ExperimentConfig):
-    """Final-state function and event times used as ground truth."""
+    """Exact state function and event times from the system's oracle."""
     sys_ = config.system
     # A run with step tau ends at t0 + round((T - t0)/tau) * tau, which can
     # exceed T slightly; pad the reference horizon to cover every grid end.
     margin = max(config.taus) if config.taus else config.tau
-    T_ref = config.T + margin
-    if sys_.name == "harmonic":
-        oracle, events = harmonic_oracle(sys_.params["omega2_minus"],
-                                         sys_.params["omega2_plus"],
-                                         config.x0, config.t0, T_ref)
-        return oracle, [ev.t_star for ev in events]
-    smallest = min(config.taus) if config.taus else config.tau
-    ref, events = reference_trajectory(sys_, config.x0, config.t0, T_ref,
-                                       config.tau_ref, tau_study=smallest)
-
-    def state(t: float):
-        # linear interpolation between reference samples; its O(tau_ref^2)
-        # error is far below the errors of any run measured against it
-        pos = (t - config.t0) / config.tau_ref
-        k = min(max(int(math.floor(pos)), 0), len(ref.times) - 2)
-        w = pos - k
-        return (1.0 - w) * ref.states[k] + w * ref.states[k + 1]
-
+    state, events = SYSTEMS[sys_.name].oracle(sys_, config.x0, config.t0,
+                                              config.T + margin)
     return state, [ev.t_star for ev in events]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, EventMismatch, InsufficientData, UnsupportedSystem
+from .errors import EventMismatch, InsufficientData, UnsupportedSystem
 from .engine import CrossingEvent, Trajectory, smooth_step
 from .model import PwsSystem, RegionSide, classify_interface_point, field_for_side
 from .oracles import OracleEvent
@@ -59,16 +59,7 @@ def conserved_error_series(traj: Trajectory, sys: PwsSystem) -> Array:
         raise ValueError("trajectory has no region segments")
     errs = np.empty(len(traj.times))
     for seg, lo, hi in traj.segment_blocks():
-        conserved = sys.conserved(seg.side)
-        block = traj.states[lo:hi]
-        psi = np.asarray(conserved.psi(block), dtype=float)
-        # A spot check against the scalar evaluation catches functions
-        # that return the right shape without actually broadcasting.
-        if (psi.shape != (conserved.d_psi, hi - lo)
-                or not np.array_equal(psi[:, 0], conserved.values(block[0]))):
-            raise EvaluationError(
-                f"psi does not broadcast over a stack of {hi - lo} states "
-                f"(returned shape {psi.shape})")
+        psi = sys.conserved(seg.side).stack_values(traj.states[lo:hi])
         errs[lo:hi] = np.max(np.abs(psi - seg.psi_ref[:, None]), axis=0)
     return errs
 

@@ -67,6 +67,10 @@ class RunawaySwitching(NumericalError):
     """Total event count exceeded the configured cap."""
 
 
+class FiniteTimeBlowUp(NumericalError):
+    """The exact solution escapes to infinity before the horizon."""
+
+
 class EventMismatch(NumericalError):
     """Computed and reference event sequences have different lengths."""
 

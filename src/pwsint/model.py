@@ -43,6 +43,10 @@ class SwitchingSurface:
     inside which a point counts as numerically on the surface.  The
     gradient must not vanish on that band; this is checked wherever the
     surface is queried near its zero set.
+
+    ``g`` must also accept a stack of states along a leading axis, shape
+    (n, dim), and then return shape (n,); the CLI trajectory writer
+    evaluates it on whole blocks of samples at once.
     """
 
     g: StateFunc
@@ -54,6 +58,19 @@ class SwitchingSurface:
         gv = float(self.g(x))
         if not np.isfinite(gv):
             raise EvaluationError(f"g(x) is not finite at x={x!r}")
+        return gv
+
+    def stack_values(self, states: Array) -> Array:
+        """g on a stack of states, shape (n, dim) -> (n,)."""
+        gv = np.asarray(self.g(states), dtype=float)
+        # A spot check against the scalar evaluation catches functions
+        # that return the right shape without actually broadcasting.
+        if gv.shape != (len(states),) or gv[0] != self.value(states[0]):
+            raise EvaluationError(
+                f"g does not broadcast over a stack of {len(states)} states "
+                f"(returned shape {gv.shape})")
+        if not np.all(np.isfinite(gv)):
+            raise EvaluationError("g(x) is not finite on a stack of states")
         return gv
 
     def gradient(self, x: Array) -> Array:
@@ -82,7 +99,8 @@ class ConservedSet:
 
     ``psi`` must also accept a stack of states along a leading axis,
     shape (n, dim), and then return shape (d_psi, n); the per-sample
-    error series evaluates it on whole region segments at once.
+    error series and the CLI trajectory writer evaluate it on whole
+    blocks of samples at once.
     """
 
     psi: Callable[[Array], Array]
@@ -96,6 +114,18 @@ class ConservedSet:
             raise EvaluationError(
                 f"psi returned shape {v.shape}, expected ({self.d_psi},)")
         return v
+
+    def stack_values(self, states: Array) -> Array:
+        """psi on a stack of states, shape (n, dim) -> (d_psi, n)."""
+        psi = np.asarray(self.psi(states), dtype=float)
+        # A spot check against the scalar evaluation catches functions
+        # that return the right shape without actually broadcasting.
+        if (psi.shape != (self.d_psi, len(states))
+                or not np.array_equal(psi[:, 0], self.values(states[0]))):
+            raise EvaluationError(
+                f"psi does not broadcast over a stack of {len(states)} states "
+                f"(returned shape {psi.shape})")
+        return psi
 
     def check_rank(self, x: Array) -> None:
         """Full row rank of grad psi, via the smallest singular value."""

@@ -1,9 +1,10 @@
 """Built-in example systems, addressable by name.
 
 Everything the package knows about a catalog system lives in its
-``SystemSpec`` record: how to build it, its default initial state, and
+``SystemSpec`` record: how to build it, its default initial state,
 which conservative scheme belongs to it and how that scheme is built
-for each region.  ``resolve_scheme`` lives here because it reads them.
+for each region, and its exact solution.  ``resolve_scheme`` lives here
+because it reads them.
 
 ``harmonic``: oscillator with a different spring stiffness in each half
 plane, switching on the line y = 0.  Each side conserves its own energy
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ConservedSet, PwsSystem, RegionSide, SwitchingSurface
+from .oracles import elliptic_oracle, harmonic_oracle
 from .schemes import (
     DiscreteVectorField,
     elliptic_dmm_dvf,
@@ -113,6 +115,10 @@ def _elliptic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
     return elliptic_dmm_dvf(a, conserves=sys.conserved(side))
 
 
+def _harmonic_oracle(sys: PwsSystem, x0, t0: float, T: float):
+    return harmonic_oracle(sys.params["omega2_minus"], sys.params["omega2_plus"], x0, t0, T)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Catalog record of one built-in system.
@@ -122,17 +128,22 @@ class SystemSpec:
     scheme, which ``dmm(sys, side)`` builds for one region.  ``dmm``
     reads only ``sys`` (its fields, conserved sets and ``params``), so
     it also serves a copy of the system with replaced callables.
+    ``oracle(sys, x0, t0, T)`` returns the exact solution as a state
+    function of t and its crossings up to T; it reads only ``sys.params``.
     """
 
     factory: Callable[..., PwsSystem]
     x0: tuple[float, ...]
     scheme: str
     dmm: Callable[[PwsSystem, RegionSide], DiscreteVectorField]
+    oracle: Callable[[PwsSystem, tuple, float, float], tuple]
 
 
 SYSTEMS: dict[str, SystemSpec] = {
-    "harmonic": SystemSpec(harmonic_system, (1.0, 1.0), "dmm-midpoint", _harmonic_dmm),
-    "elliptic": SystemSpec(elliptic_system, (-1.0, -1.0), "dmm-elliptic", _elliptic_dmm),
+    "harmonic": SystemSpec(harmonic_system, (1.0, 1.0), "dmm-midpoint", _harmonic_dmm,
+                           _harmonic_oracle),
+    "elliptic": SystemSpec(elliptic_system, (-1.0, -1.0), "dmm-elliptic", _elliptic_dmm,
+                           elliptic_oracle),
 }
 
 # Schemes that apply to any system; built from the region's field alone,

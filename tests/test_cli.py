@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from pwsint import cli, conserved_error_series
 from pwsint.cli import build_config, main, parse_kv_file
 from pwsint.errors import ConfigError
 
@@ -110,6 +111,32 @@ class TestIntegrateCommand:
         for row in ev_rows:
             assert abs(float(row[6])) <= 1e-12  # residual_g column
 
+    def test_trajectory_rows_match_per_sample_formatting(self, tmp_path):
+        # The writer evaluates g and psi on chunks of stacked states; the
+        # per-sample loop it replaced is the reference, to the byte.
+        out = str(tmp_path / "e")
+        settings = {"system": "elliptic", "T": "4"}
+        argv = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
+        assert main(["integrate", "--out", out] + argv) == 0
+        config = build_config(settings)
+        traj = cli._run(config, None)
+        sys_ = config.system
+        psi_err = conserved_error_series(traj, sys_)
+        want = []
+        for seg, lo, hi in traj.segment_blocks():
+            for k in range(lo, hi):
+                x = traj.states[k]
+                row = ([k, float(traj.times[k])] + [float(v) for v in x]
+                       + [sys_.surface.value(x), seg.side.value]
+                       + [float(v) for v in sys_.conserved(seg.side).values(x)]
+                       + [float(psi_err[k])])
+                want.append(",".join(cli.fmt(v) if isinstance(v, float) else str(v)
+                                     for v in row))
+        with open(f"{out}_trajectory.csv", encoding="utf-8") as fh:
+            got = fh.read().splitlines()[1:]
+        assert len(traj.region_segments) >= 4 and len(want) > 3 * cli._WRITE_CHUNK
+        assert got == want
+
     def test_zero_crossing_run_empty_events(self, tmp_path):
         out = str(tmp_path / "z")
         rc = main(["integrate", "--out", out, "--set", "x0=0.1,0.1",
@@ -153,6 +180,23 @@ class TestSweepCommands:
             assert abs(float(slope[col]) - 2.0) < 0.3
         r2 = next(r for r in rows if r[0] == "r_squared")
         assert float(r2[3]) > 0.99
+
+    ELLIPTIC_SWEEP = ["--set", "system=elliptic", "--set", "taus=4e-2,2e-2,1e-2",
+                      "--set", "T=2", "--set", "events_after=1,2"]
+
+    def test_elliptic_sweep_ignores_tau_ref(self, tmp_path):
+        # The reference is the exact oracle; tau_ref, far too coarse for
+        # an RK4 reference run, is accepted and changes nothing.
+        outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        assert main(["sweep", "--out", outs[0]] + self.ELLIPTIC_SWEEP) == 0
+        assert main(["sweep", "--out", outs[1], "--set", "tau_ref=1e-2"]
+                    + self.ELLIPTIC_SWEEP) == 0
+        texts = [open(f"{o}_order.csv", encoding="utf-8").read() for o in outs]
+        assert texts[0] == texts[1]
+        _, rows = read_csv(f"{outs[0]}_order.csv")
+        slope = next(r for r in rows if r[0] == "slope")
+        for col in range(3, 6):
+            assert abs(float(slope[col]) - 2.0) < 0.3
 
     def test_sweep_needs_three_taus(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "x"),

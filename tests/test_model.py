@@ -154,6 +154,25 @@ class TestTypesAndCatalog:
         with pytest.raises(EvaluationError):
             surface.hessian(np.zeros(2))
 
+    def test_stack_values_of_catalog_surfaces(self, harmonic, elliptic):
+        states = np.array([[1.0, 2.0], [-0.5, 0.25], [0.0, -3.0]])
+        for sys_ in (harmonic, elliptic):
+            want = [sys_.surface.value(x) for x in states]
+            assert sys_.surface.stack_values(states).tolist() == want
+
+    @pytest.mark.parametrize("g", [
+        lambda x: x[1],                              # indexes the first axis
+        lambda x: x[1] if x.ndim == 1 else np.zeros(len(x)),  # right shape, wrong values
+    ])
+    def test_non_broadcasting_g_raises(self, g):
+        surface = SwitchingSurface(g=g, grad_g=lambda x: np.array([0.0, 1.0]))
+        with pytest.raises(EvaluationError):
+            surface.stack_values(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+
+    def test_non_finite_g_on_stack_raises(self, harmonic):
+        with pytest.raises(EvaluationError):
+            harmonic.surface.stack_values(np.array([[1.0, 2.0], [0.0, math.inf]]))
+
     def test_conserved_rank_check(self):
         cs = ConservedSet(psi=lambda x: np.array([x[0] * 0.0]),
                           grad_psi=lambda x: np.array([[0.0, 0.0]]),
