@@ -1,12 +1,16 @@
 """Event-driven transition stepping for piecewise-smooth systems.
 
 The driver takes uniform steps with the discrete vector field of the
-current region.  When the sign of the switching function changes across
-a proposed step, the crossing is localized by an outer bracketed root
-solve in time wrapped around the inner implicit step solve, the step is
-completed from the crossing point with the other region's field, and
-the event is recorded.  Multiple crossings inside one step are handled
-by re-running detection on the completion leg, up to a small cap.
+current region.  Each leg is solved by the field's direct ``solve`` when
+it has one, and otherwise by fixed-point iteration with a Newton
+fallback.  When the sign of the switching function changes across a
+proposed step, the crossing is localized by an outer bracketed root
+solve in time wrapped around the inner step solve (which reuses the
+proposal for the step end), the step is completed from the crossing
+point with the other region's field, and the event is recorded.
+Multiple crossings inside one step are handled by re-running detection
+on the completion leg, up to a small cap.  A step that cannot be taken
+raises StepTooLarge with its index and start time.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -47,6 +51,9 @@ Array = np.ndarray
 
 # Fixed-point iterations spent on a leg before it falls back to Newton.
 NEWTON_FALLBACK_AFTER = 25
+
+_EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
+_DIRECT = SolveStats(0, 0.0, 0.0, "direct")
 
 
 @dataclass
@@ -113,16 +120,19 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array,
                t_b: float) -> tuple[Array, SolveStats]:
     """Solve x = x_a + (t_b - t_a) * dvf(t_a, x_a, t_b, x) for x.
 
-    Explicit fields evaluate directly.  Implicit ones run fixed-point
-    iteration from an explicit predictor and fall back to Newton when
-    the iteration stalls or expands (large steps).
+    Explicit fields evaluate directly.  Implicit ones with a direct
+    ``solve`` call it; the others run fixed-point iteration from an
+    explicit predictor and fall back to Newton when the iteration stalls
+    or expands (large steps).
     """
     h = t_b - t_a
     if h == 0.0:
-        return x_a.copy(), SolveStats(0, 0.0, 0.0, "explicit")
+        return x_a.copy(), _EXPLICIT
     if not dvf.is_implicit:
         x = x_a + h * dvf.evaluate(t_a, x_a, t_b, x_a)
-        return x, SolveStats(0, 0.0, 0.0, "explicit")
+        return x, _EXPLICIT
+    if dvf.solve is not None:
+        return dvf.solve(t_a, x_a, t_b), _DIRECT
 
     def step_map(x):
         return x_a + h * dvf.evaluate(t_a, x_a, t_b, x)
@@ -142,7 +152,9 @@ def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array,
 
 
 def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
-                    t_k: float, x_k: Array, tau: float) -> CrossingEvent:
+                    t_k: float, x_k: Array, tau: float,
+                    end_leg: tuple[float, Array, SolveStats] | None = None
+                    ) -> CrossingEvent:
     """Localize the interface crossing inside the step [t_k, t_k + tau].
 
     Runs a bracketed scalar root solve on phi(t) = g(xhat(t)), where
@@ -150,15 +162,23 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     from the sign change that triggered the call, so convergence is
     guaranteed.
 
+    ``end_leg=(t_b, x_b, stats)`` hands in the leg the caller already
+    solved to the step end, which is then not solved again; its ``t_b``
+    replaces t_k + tau, which may differ from it by one ulp.
+
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
     """
     x_k = np.asarray(x_k, dtype=float)
-    t_b = t_k + tau
     n_evals = 0
     # Each in-step time is solved once: Brent evaluates the step end
     # again, and the root it returns is usually a time it evaluated.
     legs: dict[float, tuple[Array, SolveStats]] = {}
+    if end_leg is None:
+        t_b = t_k + tau
+    else:
+        t_b, x_b, stats_b = end_leg
+        legs[t_b] = (x_b, stats_b)
 
     def leg(t: float) -> tuple[Array, SolveStats]:
         if t not in legs:
@@ -262,7 +282,7 @@ class _Run:
                 return x_prop, leg_side
             if crossings >= self.max_crossings_per_step:
                 raise StepTooLarge(
-                    f"more than {self.max_crossings_per_step} crossings in step {k}; "
+                    f"more than {self.max_crossings_per_step} crossings in the step; "
                     "reduce the step size")
             if len(self.events) >= self.max_events:
                 raise RunawaySwitching(f"event count exceeded cap {self.max_events}")
@@ -274,7 +294,8 @@ class _Run:
                                    residual_g=surface.value(x_prop),
                                    stats_locate=solve_stats)
             else:
-                ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t)
+                ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t,
+                                     (t_b, x_prop, solve_stats))
             ev.step_index = k
             close_pending(ev.t_hat, ev.x_hat, ev.stats_locate)
 
@@ -309,7 +330,7 @@ class _Run:
             if t_p >= t_b:
                 # Completion leg has zero length: exact landing, or the
                 # injected perturbation was clamped to the step end.
-                close_pending(t_p, ev.x_hat, SolveStats(0, 0.0, 0.0, "explicit"))
+                close_pending(t_p, ev.x_hat, _EXPLICIT)
                 return ev.x_hat.copy(), side_to
             leg_t, leg_x, leg_side = t_p, ev.x_hat, side_to
 
@@ -361,6 +382,10 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     for k in range(n_steps):
         # The side comes from advance, not from g at the new state, which
         # may sit on the surface right after a landing.
-        states[k + 1], side = run.advance(times[k], states[k], side, times[k + 1], k)
+        try:
+            states[k + 1], side = run.advance(times[k], states[k], side, times[k + 1], k)
+        except StepTooLarge as exc:
+            t_k = float(times[k])
+            raise StepTooLarge(f"step {k} at t={t_k!r}: {exc}", k=k, t=t_k) from exc
     return Trajectory(times=times, states=states, tau=tau,
                       events=run.events, region_segments=run.segments)

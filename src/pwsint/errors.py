@@ -60,7 +60,18 @@ class InvalidInitialCondition(NumericalError):
 
 
 class StepTooLarge(NumericalError):
-    """More interface crossings inside one step than the recursion cap allows."""
+    """The step is too large for the state it starts from.
+
+    Raised when a step holds more interface crossings than the recursion
+    cap allows, and when a direct step solve finds no solution near the
+    start state (the orbit escapes faster than the step can follow).
+    ``k`` is the step index and ``t`` its start time, when known.
+    """
+
+    def __init__(self, message: str, k: int | None = None, t: float | None = None):
+        super().__init__(message)
+        self.k = k
+        self.t = t
 
 
 class RunawaySwitching(NumericalError):

@@ -6,6 +6,12 @@ x_b = x_a + (t_b - t_a) * f_tau(t_a, x_a, t_b, x_b).  Implicit schemes
 use x_b; explicit ones ignore it.  Keeping one call shape for both lets
 the transition engine stay scheme-agnostic.
 
+An implicit field may also carry ``solve(t_a, x_a, t_b) -> x_b``, a
+direct solution of its own step equation; the engine then calls it
+instead of iterating.  ``dmm-elliptic`` has one: its step equation
+reduces to one scalar quadratic.  Fields without it (the midpoint rule,
+user fields) are solved by fixed-point iteration with a Newton fallback.
+
 Conservative instances carry the conserved set they preserve exactly:
 the implicit midpoint field preserves quadratic invariants of linear
 fields, and the divided-difference cubic field preserves
@@ -15,15 +21,18 @@ scheme conserves which catalog system is recorded in ``systems``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import StepTooLarge
 from .model import ConservedSet, VectorField
 
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
+SolveFunc = Callable[[float, Array, float], Array]
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,7 @@ class DiscreteVectorField:
     conserves: ConservedSet | None = None
     is_symmetric: bool = False
     name: str = ""
+    solve: SolveFunc | None = None
 
 
 def implicit_midpoint_dvf(f: VectorField,
@@ -62,6 +72,13 @@ def elliptic_dmm_dvf(a: float,
     equation the change of psi = y^2 - x^3 - a x telescopes to zero:
     (y + y') dy - (x^2 + x x' + x'^2) dx - a dx = 0 identically.
     Symmetric in its endpoints, hence second order.
+
+    The step equation is solved directly.  With h = t_b - t_a, X = x'
+    solves h^2 X^2 + (h^2 x - 1) X + (x + 2 h y + h^2 (x^2 + a)) = 0;
+    the root that tends to x as h -> 0 is taken in cancellation-free
+    form, and one application of the step map at (X, Y) gives x_b, as
+    the last iterate of a fixed-point solve would.  A step with no such
+    root (h^2 x >= 1, or a negative discriminant) raises StepTooLarge.
     """
 
     def evaluate(t_a, x_a, t_b, x_b):
@@ -69,9 +86,24 @@ def elliptic_dmm_dvf(a: float,
         xp, yp = x_b[0], x_b[1]
         return np.array([y + yp, x * x + x * xp + xp * xp + a])
 
+    def solve(t_a, x_a, t_b):
+        h = float(t_b - t_a)
+        x, y = x_a.tolist()
+        hh = h * h
+        b = hh * x - 1.0
+        c = x + 2.0 * h * y + hh * (x * x + a)
+        disc = b * b - 4.0 * hh * c
+        if not (b < 0.0 and disc >= 0.0):
+            raise StepTooLarge(f"the step equation over h={h!r} has no root near "
+                               f"the state, |x|={math.hypot(x, y):.6g}")
+        xp = 2.0 * c / (-b + math.sqrt(disc))
+        yp = y + h * (x * x + x * xp + xp * xp + a)
+        # The step map at (xp, yp) returns yp itself as its second entry.
+        return np.array([x + h * (y + yp), yp])
+
     return DiscreteVectorField(evaluate, order=2, is_implicit=True,
                                conserves=conserves, is_symmetric=True,
-                               name="dmm-elliptic")
+                               name="dmm-elliptic", solve=solve)
 
 
 def rk2_dvf(f: VectorField) -> DiscreteVectorField:

@@ -45,12 +45,14 @@ class SolveStats:
 
     ``contraction_estimate`` is the last observed ratio of successive
     update norms; values below one indicate the iteration contracted.
+    A leg solved in closed form by the field's own ``solve`` reports
+    ``"direct"`` with no iterations.
     """
 
     iterations: int
     residual: float
     contraction_estimate: float
-    method_used: str  # "fixed_point", "newton" or "explicit"
+    method_used: str  # "fixed_point", "newton", "direct" or "explicit"
 
 
 def fixed_point(map_: Callable[[Array], Array], x0: Array,

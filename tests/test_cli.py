@@ -268,6 +268,14 @@ class TestExitCodes:
                    "--set", "x0=1,0", "--set", "T=1"])
         assert rc == 3
 
+    def test_escaping_orbit_names_the_step(self, tmp_path, capsys):
+        # The exact elliptic orbit from (2, 1) blows up at t = 0.8087.
+        rc = main(["integrate", "--out", str(tmp_path / "e"), "--set", "system=elliptic",
+                   "--set", "x0=2,1", "--set", "T=2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "step 806 at t=0.806: the step equation" in err
+
     def test_missing_config_file_is_exit_2(self, tmp_path):
         rc = main(["integrate", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "m")])

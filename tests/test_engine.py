@@ -11,6 +11,7 @@ from pwsint import (
     RegionSide,
     SwitchingSurface,
     conserved_error_series,
+    elliptic_oracle,
     harmonic_oracle,
     integrate,
     locate_crossing,
@@ -22,6 +23,7 @@ from pwsint import (
 )
 from pwsint.engine import _solve_leg
 from pwsint.errors import (
+    FiniteTimeBlowUp,
     InvalidInitialCondition,
     NonTransversalCrossing,
     RunawaySwitching,
@@ -299,6 +301,57 @@ def wiggle_system(freq: float, amp_minus: float, amp_plus: float,
                      conserved_plus=make_conserved(amp_plus))
 
 
+class TestDirectSolve:
+    def test_catalog_elliptic_leg_is_direct(self, elliptic_dmm):
+        for dvf in elliptic_dmm:
+            _, stats = _solve_leg(dvf, 0.0, np.array([-1.0, -1.0]), 1e-2)
+            assert stats.method_used == "direct"
+
+    def test_field_without_solve_iterates(self, elliptic):
+        # The generic midpoint rule on the elliptic field has no direct
+        # solve and keeps the fixed-point path.
+        dvf = resolve_scheme("dmm-midpoint", elliptic, RegionSide.PLUS)
+        assert dvf.solve is None
+        _, stats = _solve_leg(dvf, 0.0, np.array([-1.0, -1.0]), 1e-2)
+        assert stats.method_used == "fixed_point"
+
+    def test_escaping_orbit_raises_step_too_large(self, elliptic, elliptic_dmm):
+        # The exact orbit from (2, 1) leaves every bounded set at t = 0.8087;
+        # the step from t = 0.806, at |x| ~ 1e8, has no solution.
+        with pytest.raises(FiniteTimeBlowUp, match=r"t=0\.808686"):
+            elliptic_oracle(elliptic, (2.0, 1.0), 0.0, 2.0)
+        with pytest.raises(StepTooLarge) as info:
+            integrate(elliptic, elliptic_dmm[0], elliptic_dmm[1],
+                      [2.0, 1.0], 0.0, 2.0, 1e-3)
+        assert (info.value.k, info.value.t) == (806, 0.806)
+        assert str(info.value).startswith("step 806 at t=0.806: ")
+        assert "|x|=9.51036e+07" in str(info.value)
+
+    def test_step_end_is_solved_once(self, harmonic, harmonic_dmm, monkeypatch):
+        # A crossing step reuses its proposal for the bracket end, so no
+        # leg of the run is solved twice.
+        legs = []
+        solve_leg = engine._solve_leg
+
+        def recording(dvf, t_a, x_a, t_b):
+            legs.append((float(t_a), float(t_b), tuple(x_a.tolist())))
+            return solve_leg(dvf, t_a, x_a, t_b)
+
+        monkeypatch.setattr(engine, "_solve_leg", recording)
+        traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
+        assert len(traj.events) == 2
+        assert len(legs) == len(set(legs))
+
+    def test_end_leg_gives_the_same_event(self, harmonic, harmonic_dmm):
+        x_k = np.array([1.0, 1.0])
+        end = (0.83, *_solve_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
+        ref = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, 0.83)
+        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, 0.83, end)
+        assert ev.t_hat == ref.t_hat
+        np.testing.assert_array_equal(ev.x_hat, ref.x_hat)
+        assert ev.stats_locate == ref.stats_locate
+
+
 class TestMultipleCrossings:
     def setup_method(self):
         self.sys = wiggle_system(2.0 * math.pi, 2.0, 1.0, offset=0.05)
@@ -323,6 +376,13 @@ class TestMultipleCrossings:
         with pytest.raises(StepTooLarge):
             integrate(self.sys, self.dvfs[0], self.dvfs[1],
                       self.x0, 0.0, 3.0, 1.0, max_crossings_per_step=1)
+
+    def test_step_too_large_names_the_step(self):
+        with pytest.raises(StepTooLarge) as info:
+            integrate(self.sys, self.dvfs[0], self.dvfs[1],
+                      self.x0, 0.0, 3.0, 1.0, max_crossings_per_step=1)
+        assert (info.value.k, info.value.t) == (0, 0.0)
+        assert str(info.value).startswith("step 0 at t=0.0: more than 1 crossings")
 
 
 class TestSurfaceLanding:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,13 @@ from pwsint import (
     rk4_dvf,
     smooth_step,
 )
-from pwsint.errors import ConfigError
+from pwsint.engine import _solve_leg
+from pwsint.errors import ConfigError, StepTooLarge
 from pwsint.systems import SYSTEMS
 
 from conftest import midpoint_harmonic_step
 
+EPS = float(np.finfo(float).eps)
 
 
 def harmonic_field(w2):
@@ -99,6 +102,37 @@ class TestEllipticDmm:
             tau = float(rng.uniform(1e-4, 2e-2))
             x_b = solve_step(dvf, 0.0, x_a, tau)
             assert abs(psi(x_b) - psi(x_a)) <= 1e-12 * max(1.0, abs(psi(x_a)))
+
+    @pytest.mark.parametrize("a_param", [-3.0, -2.0])
+    def test_direct_solve_matches_fixed_point_leg(self, a_param):
+        # 2000 seeded random steps per parameter, tau <= 0.05: the
+        # quadratic root agrees with the iterated leg to the solver's mixed
+        # tolerance, the step equation holds to rounding and psi is
+        # conserved to rounding.
+        def psi(x):
+            return x[1] ** 2 - x[0] ** 3 - a_param * x[0]
+
+        dvf = elliptic_dmm_dvf(a_param)
+        iterated = dataclasses.replace(dvf, solve=None)
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            x_a = rng.uniform(-1.5, 1.5, size=2)
+            tau = float(rng.uniform(1e-4, 5e-2))
+            x_d, stats_d = _solve_leg(dvf, 0.0, x_a, tau)
+            x_f, stats_f = _solve_leg(iterated, 0.0, x_a, tau)
+            assert (stats_d.method_used, stats_f.method_used) == ("direct", "fixed_point")
+            assert np.linalg.norm(x_d - x_f) <= 1e-14 * (1.0 + np.linalg.norm(x_f))
+            res = x_d - x_a - tau * dvf.evaluate(0.0, x_a, tau, x_d)
+            assert np.linalg.norm(res) <= 4.0 * EPS * (1.0 + np.linalg.norm(x_d))
+            assert abs(psi(x_d) - psi(x_a)) <= 1e-14
+
+    @pytest.mark.parametrize("x_a, h", [
+        ((2e6, 0.0), 1e-3),    # h^2 x >= 1: the near root is gone
+        ((0.0, 200.0), 0.1),   # negative discriminant: no real root
+    ])
+    def test_direct_solve_without_root_raises(self, x_a, h):
+        with pytest.raises(StepTooLarge, match="no root near the state"):
+            elliptic_dmm_dvf(-2.0).solve(0.0, np.array(x_a), h)
 
 
 class TestRk2:
