@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .diagnostics import conserved_error_series, estimate_order
-from .engine import Trajectory, integrate
+from .engine import MAX_CROSSINGS_PER_STEP, MAX_EVENTS, Trajectory, integrate
 from .errors import ConfigError, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 # Neither name is called here; both stay cli attributes because
@@ -153,8 +153,9 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         perturbation=perturbation,
         out=out,
         events_after=_get(kv, "events_after", _ints, (10, 20, 30)),
-        max_crossings_per_step=_get(kv, "max_crossings_per_step", int, 4),
-        max_events=_get(kv, "max_events", int, 100_000),
+        max_crossings_per_step=_get(kv, "max_crossings_per_step", int,
+                                    MAX_CROSSINGS_PER_STEP),
+        max_events=_get(kv, "max_events", int, MAX_EVENTS),
     )
     cfg.schemes()  # validate scheme names now, not at run time
     return cfg
@@ -171,10 +172,6 @@ def _run(config: ExperimentConfig, perturbation: tuple | None,
                      perturbation=perturbation,
                      max_crossings_per_step=config.max_crossings_per_step,
                      max_events=config.max_events)
-
-
-def _side_name(side) -> str:
-    return side.value if side is not None else ""
 
 
 def cmd_integrate(config: ExperimentConfig) -> list[str]:
@@ -217,10 +214,9 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
     def ev_rows():
         for i, ev in enumerate(traj.events):
             yield ([i, ev.t_hat] + [float(v) for v in ev.x_hat]
-                   + [_side_name(ev.side_from), _side_name(ev.side_to),
+                   + [ev.side_from.value, ev.side_to.value,
                       ev.residual_g, ev.psi_level_residual,
-                      ev.stats_locate.iterations if ev.stats_locate else 0,
-                      ev.stats_complete.iterations if ev.stats_complete else 0,
+                      ev.stats_locate.iterations, ev.stats_complete.iterations,
                       ev.perturbation_applied])
 
     write_csv(ev_path, ev_header, ev_rows())

@@ -9,8 +9,8 @@ solve in time wrapped around the inner step solve (which reuses the
 proposal for the step end), the step is completed from the crossing
 point with the other region's field, and the event is recorded.
 Multiple crossings inside one step are handled by re-running detection
-on the completion leg, up to a small cap.  A step that cannot be taken
-raises StepTooLarge with its index and start time.
+on the completion leg, up to a small cap.  A numerical failure inside a
+step is re-raised with the step's index and start time.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -33,6 +33,7 @@ from .errors import (
     InvalidInitialCondition,
     NoConvergence,
     NonTransversalCrossing,
+    NumericalError,
     RunawaySwitching,
     StepTooLarge,
 )
@@ -52,6 +53,10 @@ Array = np.ndarray
 # Fixed-point iterations spent on a leg before it falls back to Newton.
 NEWTON_FALLBACK_AFTER = 25
 
+# Default caps of ``integrate``: crossings inside one step, events per run.
+MAX_CROSSINGS_PER_STEP = 4
+MAX_EVENTS = 100_000
+
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
 _DIRECT = SolveStats(0, 0.0, 0.0, "direct")
 
@@ -60,11 +65,11 @@ _DIRECT = SolveStats(0, 0.0, 0.0, "direct")
 class CrossingEvent:
     """One localized interface transition.
 
-    ``t_hat``/``x_hat`` solve the coupled crossing system to solver
-    tolerance; ``perturbation_applied`` is the actual (clamped) shift
-    added to ``t_hat`` before the completion leg, and
-    ``convex_residual`` is the defect of the combined two-leg update
-    over the step that produced the event.
+    ``t_hat`` is the root of g along the discrete leg of ``side_from``
+    and ``x_hat`` that leg's state there, both to solver tolerance;
+    ``perturbation_applied`` is the actual (clamped) shift added to
+    ``t_hat`` before the completion leg.  ``stats_locate`` describes the
+    localization and ``stats_complete`` the completion leg.
     """
 
     t_hat: float
@@ -76,7 +81,6 @@ class CrossingEvent:
     stats_locate: SolveStats | None = None
     stats_complete: SolveStats | None = None
     perturbation_applied: float = 0.0
-    convex_residual: float = 0.0
     step_index: int = -1
 
 
@@ -234,112 +238,12 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                          residual_g=g_hat, stats_locate=stats)
 
 
-class _Run:
-    """Mutable state of one integration; not part of the public API."""
-
-    def __init__(self, sys: PwsSystem, dvfs: dict, tau: float,
-                 perturbation: tuple[float, float] | None,
-                 max_crossings_per_step: int, max_events: int):
-        self.sys = sys
-        self.dvfs = dvfs
-        self.tau = tau
-        self.pert = perturbation
-        self.max_crossings_per_step = max_crossings_per_step
-        self.max_events = max_events
-        self.events: list[CrossingEvent] = []
-        self.segments: list[RegionSegment] = []
-
-    def advance(self, t_a: float, x_a: Array, side: RegionSide, t_b: float,
-                k: int) -> tuple[Array, RegionSide]:
-        """Advance one grid step, localizing and crossing any transitions."""
-        surface = self.sys.surface
-        # The event whose completion leg is being solved, and the start
-        # and field of the leg that led to it.
-        pending: CrossingEvent | None = None
-        first_t = first_x = first_dvf = None
-        leg_t, leg_x, leg_side = t_a, x_a, side
-        crossings = 0
-
-        def close_pending(t_end: float, x_end: Array, stats: SolveStats) -> None:
-            """Fill completion stats and the two-leg defect of ``pending``."""
-            if pending is None:
-                return
-            pending.stats_complete = stats
-            t_p = pending.t_hat + pending.perturbation_applied
-            r = (x_end - first_x
-                 - (pending.t_hat - first_t)
-                 * first_dvf.evaluate(first_t, first_x, pending.t_hat, pending.x_hat)
-                 - (t_end - t_p)
-                 * self.dvfs[pending.side_to].evaluate(t_p, pending.x_hat, t_end, x_end))
-            pending.convex_residual = float(np.linalg.norm(r))
-
-        while True:
-            dvf = self.dvfs[leg_side]
-            x_prop, solve_stats = _solve_leg(dvf, leg_t, leg_x, t_b)
-            s2 = side_of(surface, x_prop)
-            if s2 is leg_side:
-                close_pending(t_b, x_prop, solve_stats)
-                return x_prop, leg_side
-            if crossings >= self.max_crossings_per_step:
-                raise StepTooLarge(
-                    f"more than {self.max_crossings_per_step} crossings in the step; "
-                    "reduce the step size")
-            if len(self.events) >= self.max_events:
-                raise RunawaySwitching(f"event count exceeded cap {self.max_events}")
-
-            if s2 is RegionSide.ON_SURFACE:
-                # Landed numerically on the surface: treat as a crossing
-                # at the step end; the far side comes from classification.
-                ev = CrossingEvent(t_hat=t_b, x_hat=x_prop,
-                                   residual_g=surface.value(x_prop),
-                                   stats_locate=solve_stats)
-            else:
-                ev = locate_crossing(dvf, surface, leg_t, leg_x, t_b - leg_t,
-                                     (t_b, x_prop, solve_stats))
-            ev.step_index = k
-            close_pending(ev.t_hat, ev.x_hat, ev.stats_locate)
-
-            tol = max(surface.on_surface_tol, 10.0 * abs(ev.residual_g))
-            info = classify_interface_point(self.sys, ev.x_hat, ev.t_hat, tol=tol)
-            if info.kind in (Classification.SLIDING, Classification.REPELLING):
-                raise NonTransversalCrossing(
-                    f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")
-            side_to = (RegionSide.PLUS if info.kind is Classification.TRANSVERSAL_UP
-                       else RegionSide.MINUS)
-            if side_to is leg_side:
-                raise CrossingLocalizationFailed(
-                    f"sign change at t={ev.t_hat} contradicts the flow direction")
-            ev.side_from, ev.side_to = leg_side, side_to
-
-            seg = self.segments[-1]
-            psi_from = self.sys.conserved(leg_side).values(ev.x_hat)
-            ev.psi_level_residual = float(np.max(np.abs(psi_from - seg.psi_ref)))
-            self.sys.conserved(side_to).check_rank(ev.x_hat)
-
-            t_p = ev.t_hat
-            if self.pert is not None:
-                c, p = self.pert
-                t_p = min(max(ev.t_hat + c * self.tau ** p, leg_t), t_b)
-            ev.perturbation_applied = t_p - ev.t_hat
-            self.events.append(ev)
-            self.segments.append(RegionSegment(
-                k + 1, side_to, self.sys.conserved(side_to).values(ev.x_hat)))
-            crossings += 1
-
-            pending, first_t, first_x, first_dvf = ev, leg_t, leg_x, dvf
-            if t_p >= t_b:
-                # Completion leg has zero length: exact landing, or the
-                # injected perturbation was clamped to the step end.
-                close_pending(t_p, ev.x_hat, _EXPLICIT)
-                return ev.x_hat.copy(), side_to
-            leg_t, leg_x, leg_side = t_p, ev.x_hat, side_to
-
-
 def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
               scheme_plus: DiscreteVectorField, x0, t0: float, T: float,
               tau: float, perturbation: tuple[float, float] | None = None,
-              max_steps: int = 10_000_000, max_crossings_per_step: int = 4,
-              max_events: int = 100_000) -> Trajectory:
+              max_steps: int = 10_000_000,
+              max_crossings_per_step: int = MAX_CROSSINGS_PER_STEP,
+              max_events: int = MAX_EVENTS) -> Trajectory:
     """Integrate the system on the uniform grid t0 + k*tau up to T.
 
     The number of steps is round((T - t0)/tau); the grid always stays
@@ -367,14 +271,79 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         raise ConfigError(f"max_crossings_per_step={max_crossings_per_step} and "
                           f"max_events={max_events} must both be at least 1")
 
-    side = side_of(sys.surface, x0)
+    surface = sys.surface
+    side = side_of(surface, x0)
     if side is RegionSide.ON_SURFACE:
         raise InvalidInitialCondition("initial state lies on the switching surface")
     sys.conserved(side).check_rank(x0)
 
-    run = _Run(sys, {RegionSide.MINUS: scheme_minus, RegionSide.PLUS: scheme_plus},
-               tau, perturbation, max_crossings_per_step, max_events)
-    run.segments.append(RegionSegment(0, side, sys.conserved(side).values(x0)))
+    dvfs = {RegionSide.MINUS: scheme_minus, RegionSide.PLUS: scheme_plus}
+    events: list[CrossingEvent] = []
+    segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
+
+    def advance(t_a: float, x_a: Array, side: RegionSide, t_b: float,
+                k: int) -> tuple[Array, RegionSide]:
+        """Advance one grid step, localizing and crossing any transitions."""
+        crossings = 0
+        while True:
+            dvf = dvfs[side]
+            x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b)
+            s2 = side_of(surface, x_prop)
+            if s2 is side:
+                if crossings:
+                    events[-1].stats_complete = solve_stats
+                return x_prop, side
+            if crossings >= max_crossings_per_step:
+                raise StepTooLarge(f"more than {max_crossings_per_step} crossings in "
+                                   "the step; reduce the step size")
+            if len(events) >= max_events:
+                raise RunawaySwitching(f"event count exceeded cap {max_events}")
+
+            if s2 is RegionSide.ON_SURFACE:
+                # Landed numerically on the surface: treat as a crossing
+                # at the step end; the far side comes from classification.
+                ev = CrossingEvent(t_hat=t_b, x_hat=x_prop,
+                                   residual_g=surface.value(x_prop),
+                                   stats_locate=solve_stats)
+            else:
+                ev = locate_crossing(dvf, surface, t_a, x_a, t_b - t_a,
+                                     (t_b, x_prop, solve_stats))
+            ev.step_index = k
+            if crossings:
+                events[-1].stats_complete = ev.stats_locate
+
+            tol = max(surface.on_surface_tol, 10.0 * abs(ev.residual_g))
+            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, tol=tol)
+            if info.kind in (Classification.SLIDING, Classification.REPELLING):
+                raise NonTransversalCrossing(
+                    f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")
+            side_to = (RegionSide.PLUS if info.kind is Classification.TRANSVERSAL_UP
+                       else RegionSide.MINUS)
+            if side_to is side:
+                raise CrossingLocalizationFailed(
+                    f"sign change at t={ev.t_hat} contradicts the flow direction")
+            ev.side_from, ev.side_to = side, side_to
+
+            psi_from = sys.conserved(side).values(ev.x_hat)
+            ev.psi_level_residual = float(np.max(np.abs(psi_from - segments[-1].psi_ref)))
+            sys.conserved(side_to).check_rank(ev.x_hat)
+
+            t_p = ev.t_hat
+            if perturbation is not None:
+                c, p = perturbation
+                t_p = min(max(ev.t_hat + c * tau ** p, t_a), t_b)
+            ev.perturbation_applied = t_p - ev.t_hat
+            events.append(ev)
+            segments.append(RegionSegment(
+                k + 1, side_to, sys.conserved(side_to).values(ev.x_hat)))
+            crossings += 1
+
+            if t_p >= t_b:
+                # Completion leg has zero length: exact landing, or the
+                # injected perturbation was clamped to the step end.
+                ev.stats_complete = _EXPLICIT
+                return ev.x_hat.copy(), side_to
+            t_a, x_a, side = t_p, ev.x_hat, side_to
 
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
@@ -383,9 +352,9 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         # The side comes from advance, not from g at the new state, which
         # may sit on the surface right after a landing.
         try:
-            states[k + 1], side = run.advance(times[k], states[k], side, times[k + 1], k)
-        except StepTooLarge as exc:
+            states[k + 1], side = advance(times[k], states[k], side, times[k + 1], k)
+        except NumericalError as exc:
             t_k = float(times[k])
-            raise StepTooLarge(f"step {k} at t={t_k!r}: {exc}", k=k, t=t_k) from exc
+            raise type(exc)(f"step {k} at t={t_k!r}: {exc}", k=k, t=t_k) from exc
     return Trajectory(times=times, states=states, tau=tau,
-                      events=run.events, region_segments=run.segments)
+                      events=events, region_segments=segments)

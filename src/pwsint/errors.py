@@ -16,7 +16,16 @@ class ConfigError(PwsIntError):
 
 
 class NumericalError(PwsIntError):
-    """Base class for runtime numerical failures."""
+    """Base class for runtime numerical failures.
+
+    ``k`` is the index of the step that failed and ``t`` its start time,
+    when known.
+    """
+
+    def __init__(self, message: str, k: int | None = None, t: float | None = None):
+        super().__init__(message)
+        self.k = k
+        self.t = t
 
 
 class EvaluationError(NumericalError):
@@ -65,13 +74,7 @@ class StepTooLarge(NumericalError):
     Raised when a step holds more interface crossings than the recursion
     cap allows, and when a direct step solve finds no solution near the
     start state (the orbit escapes faster than the step can follow).
-    ``k`` is the step index and ``t`` its start time, when known.
     """
-
-    def __init__(self, message: str, k: int | None = None, t: float | None = None):
-        super().__init__(message)
-        self.k = k
-        self.t = t
 
 
 class RunawaySwitching(NumericalError):

@@ -31,3 +31,25 @@ def test_instrument_patches_and_restores(monkeypatch):
         assert after.keys() == saved.keys(), owner
         changed = [k for k in saved if after[k] is not saved[k]]
         assert not changed, (owner, changed)
+
+
+def test_traced_run_sees_the_engine_layers(monkeypatch):
+    # The engine looks these names up at call time; a loop that bound
+    # them once would bypass the wrappers and zero the per-layer figures.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, pwsint):
+        sys_ = pwsint.make_system("harmonic")
+        minus, plus = (pwsint.resolve_scheme("dmm-midpoint", sys_, side)
+                       for side in (pwsint.RegionSide.MINUS, pwsint.RegionSide.PLUS))
+        traj = pwsint.integrate(sys_, minus, plus, [1.0, 1.0], 0.0, 3.0, 1e-2)
+    assert len(traj.events) == 2
+    steps = len(traj.times) - 1
+    # Fewest calls each layer makes: one per step, or one per crossing.
+    fewest = {"model.side_of": steps, "solvers.fixed_point": steps,
+              "engine.locate_crossing": 2, "model.classify_interface_point": 2,
+              "solvers.bracketed_root": 2}
+    body = tracer.agg["body"]
+    for name, n in fewest.items():
+        assert body[name][0] >= n, name

@@ -23,8 +23,10 @@ from pwsint import (
 )
 from pwsint.engine import _solve_leg
 from pwsint.errors import (
+    EvaluationError,
     FiniteTimeBlowUp,
     InvalidInitialCondition,
+    NoConvergence,
     NonTransversalCrossing,
     RunawaySwitching,
     StepTooLarge,
@@ -182,24 +184,30 @@ class TestIntegrate:
                            for ev in traj.events), f"missing event in step {k}"
 
     def test_step_equations_hold_between_events(self, harmonic, harmonic_dmm):
-        traj = run_harmonic(harmonic, harmonic_dmm, 2.0, 1e-2)
-        event_steps = {ev.step_index for ev in traj.events}
+        # Every smooth step solves its step equation; a step with one
+        # crossing solves it on both legs: from (t_k, x_k) to (t_hat, x_hat)
+        # with the old region's field, and on to x_{k+1} with the new one.
         dvf = {RegionSide.MINUS: harmonic_dmm[0], RegionSide.PLUS: harmonic_dmm[1]}
-        for k in range(len(traj.times) - 1):
-            if k in event_steps:
-                continue
-            side = traj.segment_at(k).side
-            x_a, x_b = traj.states[k], traj.states[k + 1]
-            res = x_b - x_a - traj.tau * dvf[side].evaluate(
-                traj.times[k], x_a, traj.times[k + 1], x_b)
+
+        def assert_leg(side, t_a, x_a, t_b, x_b):
+            res = x_b - x_a - (t_b - t_a) * dvf[side].evaluate(t_a, x_a, t_b, x_b)
             assert np.linalg.norm(res) <= 10 * solvers.FP_TOL * (1 + np.linalg.norm(x_b))
 
-    def test_convex_combination_residual(self, harmonic, harmonic_dmm):
-        traj = run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3)
-        assert traj.events
-        for ev in traj.events:
-            assert ev.convex_residual <= 10 * solvers.FP_TOL * (
-                1 + np.linalg.norm(ev.x_hat))
+        for tau in (1e-3, 1e-2, 0.1):
+            traj = run_harmonic(harmonic, harmonic_dmm, 10.0, tau)
+            by_step = {}
+            for ev in traj.events:
+                by_step.setdefault(ev.step_index, []).append(ev)
+            assert len(by_step) >= 4 and all(len(e) == 1 for e in by_step.values())
+            for k in range(len(traj.times) - 1):
+                t_a, t_b = traj.times[k], traj.times[k + 1]
+                x_a, x_b = traj.states[k], traj.states[k + 1]
+                if k not in by_step:
+                    assert_leg(traj.segment_at(k).side, t_a, x_a, t_b, x_b)
+                    continue
+                ev, = by_step[k]
+                assert_leg(ev.side_from, t_a, x_a, ev.t_hat, ev.x_hat)
+                assert_leg(ev.side_to, ev.t_hat, ev.x_hat, t_b, x_b)
 
     def test_perturbation_p15_is_identical_to_unperturbed(self, harmonic, harmonic_dmm):
         # tau^15 = 1e-45 underflows against t_hat ~ 1: bit-identical runs.
@@ -217,6 +225,16 @@ class TestIntegrate:
             k = ev.step_index
             assert 0.0 <= ev.perturbation_applied <= tau ** 2 * (1 + 1e-12)
             assert ev.t_hat + ev.perturbation_applied <= pert.times[k + 1] + 1e-15
+
+    def test_perturbation_clamped_to_step_end(self, harmonic, harmonic_dmm):
+        # A shift of 3 tau always reaches past the step end, so every
+        # completion leg has zero length.
+        pert = run_harmonic(harmonic, harmonic_dmm, 10.0, 0.1, perturbation=(3.0, 1.0))
+        assert pert.events
+        assert_events_complete(pert)
+        for ev in pert.events:
+            assert ev.t_hat + ev.perturbation_applied == pert.times[ev.step_index + 1]
+            assert ev.stats_complete.method_used == "explicit"
 
     def test_sign_monotonicity_in_brackets(self, harmonic, harmonic_dmm):
         # phi(t) = g(xhat(t)) sampled on 100 points across each crossing
@@ -301,6 +319,13 @@ def wiggle_system(freq: float, amp_minus: float, amp_plus: float,
                      conserved_plus=make_conserved(amp_plus))
 
 
+def assert_events_complete(traj):
+    """Every event carries both sides and both solve statistics."""
+    for ev in traj.events:
+        assert None not in (ev.side_from, ev.side_to, ev.stats_locate,
+                            ev.stats_complete), ev
+
+
 class TestDirectSolve:
     def test_catalog_elliptic_leg_is_direct(self, elliptic_dmm):
         for dvf in elliptic_dmm:
@@ -326,6 +351,17 @@ class TestDirectSolve:
         assert (info.value.k, info.value.t) == (806, 0.806)
         assert str(info.value).startswith("step 806 at t=0.806: ")
         assert "|x|=9.51036e+07" in str(info.value)
+        # Schemes without a direct solve fail with errors of their own,
+        # which name the failing step too.
+        for name, error, k in [("dmm-midpoint", NoConvergence, 806),
+                               ("rk4", EvaluationError, 811)]:
+            minus, plus = (resolve_scheme(name, elliptic, side)
+                           for side in (RegionSide.MINUS, RegionSide.PLUS))
+            with pytest.raises(error) as info, np.errstate(over="ignore"):
+                integrate(elliptic, minus, plus, [2.0, 1.0], 0.0, 2.0, 1e-3)
+            t = k / 1000
+            assert (info.value.k, info.value.t) == (k, t)
+            assert str(info.value).startswith(f"step {k} at t={t}: ")
 
     def test_step_end_is_solved_once(self, harmonic, harmonic_dmm, monkeypatch):
         # A crossing step reuses its proposal for the bracket end, so no
@@ -371,6 +407,11 @@ class TestMultipleCrossings:
         for ev in traj.events:
             assert ev.side_from is not ev.side_to
             assert abs(ev.residual_g) <= 1e-12
+        # The second crossing of a step is located on the first one's
+        # completion leg, so that leg's statistics are its locate ones.
+        assert_events_complete(traj)
+        for first, second in zip(traj.events[0::2], traj.events[1::2]):
+            assert first.stats_complete is second.stats_locate
 
     def test_step_too_large_when_cap_exceeded(self):
         with pytest.raises(StepTooLarge):
@@ -404,6 +445,9 @@ class TestSurfaceLanding:
         assert ev.t_hat == 0.5 and ev.residual_g == 0.0
         assert ev.side_from is RegionSide.PLUS and ev.side_to is RegionSide.MINUS
         np.testing.assert_allclose(traj.states[-1], [0.0, -0.5], atol=1e-14)
+        # Landing at the step end leaves a zero-length completion leg.
+        assert_events_complete(traj)
+        assert ev.stats_complete.method_used == "explicit"
 
     def test_sliding_rejected(self):
         conserved = ConservedSet(psi=lambda x: np.array([x[..., 0]]),
