@@ -10,7 +10,7 @@ proposal for the step end), the step is completed from the crossing
 point with the other region's field, and the event is recorded.
 Multiple crossings inside one step are handled by re-running detection
 on the completion leg, up to a small cap.  A numerical failure inside a
-step is re-raised with the step's index and start time.
+step is re-raised with the step's index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -277,7 +277,6 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         raise InvalidInitialCondition("initial state lies on the switching surface")
     sys.conserved(side).check_rank(x0)
 
-    dvfs = {RegionSide.MINUS: scheme_minus, RegionSide.PLUS: scheme_plus}
     events: list[CrossingEvent] = []
     segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
 
@@ -286,7 +285,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         """Advance one grid step, localizing and crossing any transitions."""
         crossings = 0
         while True:
-            dvf = dvfs[side]
+            dvf = scheme_plus if side is RegionSide.PLUS else scheme_minus
             x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b)
             s2 = side_of(surface, x_prop)
             if s2 is side:
@@ -347,14 +346,22 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
 
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
-    states[0] = x0
-    for k in range(n_steps):
-        # The side comes from advance, not from g at the new state, which
-        # may sit on the surface right after a landing.
-        try:
-            states[k + 1], side = advance(times[k], states[k], side, times[k + 1], k)
-        except NumericalError as exc:
-            t_k = float(times[k])
-            raise type(exc)(f"step {k} at t={t_k!r}: {exc}", k=k, t=t_k) from exc
+    states[0] = x = x0
+    # An escaping orbit overflows to inf, which the finiteness checks
+    # turn into a typed error; numpy need not warn about it first.
+    with np.errstate(over="ignore"):
+        for k in range(n_steps):
+            # Python floats from times.item and the state advance returns
+            # keep numpy scalars and row views out of the step; a tolist()
+            # grid would hold one Python float per sample.  The side comes
+            # from advance, not from g at the new state, which may sit on
+            # the surface right after a landing.
+            try:
+                x, side = advance(times.item(k), x, side, times.item(k + 1), k)
+            except NumericalError as exc:
+                t_k = times.item(k)
+                raise type(exc)(f"step {k} at t={t_k!r}: {exc} (on the {side.value} side)",
+                                k=k, t=t_k, side=side) from exc
+            states[k + 1] = x
     return Trajectory(times=times, states=states, tau=tau,
                       events=events, region_segments=segments)

@@ -6,6 +6,13 @@ divergence, lost brackets, degenerate geometry).  The CLI maps them to
 exit codes 2 and 3 respectively.
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .model import RegionSide
+
 
 class PwsIntError(Exception):
     """Base class for all package-specific errors."""
@@ -18,14 +25,16 @@ class ConfigError(PwsIntError):
 class NumericalError(PwsIntError):
     """Base class for runtime numerical failures.
 
-    ``k`` is the index of the step that failed and ``t`` its start time,
-    when known.
+    ``k`` is the index of the step that failed, ``t`` its start time and
+    ``side`` the ``RegionSide`` it started on, when known.
     """
 
-    def __init__(self, message: str, k: int | None = None, t: float | None = None):
+    def __init__(self, message: str, k: int | None = None, t: float | None = None,
+                 side: RegionSide | None = None):
         super().__init__(message)
         self.k = k
         self.t = t
+        self.side = side
 
 
 class EvaluationError(NumericalError):

@@ -10,6 +10,7 @@ expected to be pure, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -46,7 +47,10 @@ class SwitchingSurface:
 
     ``g`` must also accept a stack of states along a leading axis, shape
     (n, dim), and then return shape (n,); the CLI trajectory writer
-    evaluates it on whole blocks of samples at once.
+    evaluates it on whole blocks of samples at once.  ``integrate``
+    calls it once per step on a single 1-D state, so it should be cheap
+    there: arithmetic on the 0-d arrays that ``x[..., i]`` returns costs
+    about twice as much as on the scalars that ``x.T[i]`` returns.
     """
 
     g: StateFunc
@@ -56,7 +60,7 @@ class SwitchingSurface:
 
     def value(self, x: Array) -> float:
         gv = float(self.g(x))
-        if not np.isfinite(gv):
+        if not math.isfinite(gv):
             raise EvaluationError(f"g(x) is not finite at x={x!r}")
         return gv
 

@@ -87,8 +87,15 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
         return ConservedSet(psi=psi, grad_psi=grad_psi, d_psi=1)
 
     r2 = radius * radius
+
+    def g(x):
+        # x.T[i] is a scalar for one state and a column for a stack;
+        # x * x rounds exactly as x ** 2.
+        xt = x.T
+        return xt[0] * xt[0] + xt[1] * xt[1] - r2
+
     surface = SwitchingSurface(
-        g=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - r2,
+        g=g,
         grad_g=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
         hess_g=lambda x: 2.0 * np.eye(2),
     )

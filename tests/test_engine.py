@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,24 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
         assert [e.t_hat for e in a.events] == [e.t_hat for e in b.events]
+
+    @pytest.mark.parametrize("system, schemes, x0, T", [
+        ("harmonic", "harmonic_rk2", [1.0, 1.0], 85.0),
+        ("elliptic", "elliptic_dmm", [-1.0, -1.0], 10.0),
+    ], ids=["harmonic-T85", "elliptic-T10"])
+    def test_memory_is_the_output_arrays(self, request, system, schemes, x0, T):
+        # Beyond the sample arrays, the run holds a bounded amount of
+        # memory, whatever its step count: no Python object per sample.
+        sys_ = request.getfixturevalue(system)
+        minus, plus = request.getfixturevalue(schemes)
+        tracemalloc.start()
+        try:
+            traj = integrate(sys_, minus, plus, x0, 0.0, T, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == round(T / 1e-3) + 1
+        assert peak <= traj.states.nbytes + traj.times.nbytes + 256 * 1024
 
     def test_event_completeness(self, harmonic, harmonic_dmm):
         # Every sign change between consecutive samples has an event
@@ -348,20 +368,26 @@ class TestDirectSolve:
         with pytest.raises(StepTooLarge) as info:
             integrate(elliptic, elliptic_dmm[0], elliptic_dmm[1],
                       [2.0, 1.0], 0.0, 2.0, 1e-3)
+        # The orbit starts outside the circle and never re-enters it.
         assert (info.value.k, info.value.t) == (806, 0.806)
+        assert info.value.side is RegionSide.PLUS
         assert str(info.value).startswith("step 806 at t=0.806: ")
-        assert "|x|=9.51036e+07" in str(info.value)
+        assert str(info.value).endswith("|x|=9.51036e+07 (on the plus side)")
         # Schemes without a direct solve fail with errors of their own,
-        # which name the failing step too.
+        # which name the failing step and side too.  The states overflow
+        # on the way there, without a numpy warning.
         for name, error, k in [("dmm-midpoint", NoConvergence, 806),
                                ("rk4", EvaluationError, 811)]:
             minus, plus = (resolve_scheme(name, elliptic, side)
                            for side in (RegionSide.MINUS, RegionSide.PLUS))
-            with pytest.raises(error) as info, np.errstate(over="ignore"):
+            with pytest.raises(error) as info, warnings.catch_warnings():
+                warnings.simplefilter("error")
                 integrate(elliptic, minus, plus, [2.0, 1.0], 0.0, 2.0, 1e-3)
             t = k / 1000
             assert (info.value.k, info.value.t) == (k, t)
+            assert info.value.side is RegionSide.PLUS
             assert str(info.value).startswith(f"step {k} at t={t}: ")
+            assert str(info.value).endswith(" (on the plus side)")
 
     def test_step_end_is_solved_once(self, harmonic, harmonic_dmm, monkeypatch):
         # A crossing step reuses its proposal for the bracket end, so no

@@ -160,6 +160,26 @@ class TestTypesAndCatalog:
             want = [sys_.surface.value(x) for x in states]
             assert sys_.surface.stack_values(states).tolist() == want
 
+    @pytest.mark.parametrize("radius", [1.0, 0.3, 7.5])
+    def test_elliptic_g_matches_power_form(self, radius):
+        # The catalog g squares by multiplication; it must give the bits
+        # and shapes of x ** 2, on one state and on a stack, overflow too.
+        surface = make_system("elliptic", radius=radius).surface
+        r2 = radius * radius
+        rng = np.random.default_rng(7)
+        inputs = [np.array([1e200, -3.0]), np.array([[1e200, 1.0], [-2.0, 1e300]])]
+        for scale in (1e-3, 1.0, 1e3):
+            inputs += list(scale * rng.standard_normal((20, 2)))
+            inputs += [scale * rng.standard_normal((n, 2)) for n in (1, 2, 50)]
+        for x in inputs:
+            with np.errstate(over="ignore"):
+                got = surface.g(x)
+                want = x[..., 0] ** 2 + x[..., 1] ** 2 - r2
+            assert np.shape(got) == np.shape(want) == x.shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if x.ndim == 2 and np.all(np.isfinite(want)):
+                assert surface.stack_values(x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("g", [
         lambda x: x[1],                              # indexes the first axis
         lambda x: x[1] if x.ndim == 1 else np.zeros(len(x)),  # right shape, wrong values
