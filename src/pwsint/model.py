@@ -29,6 +29,13 @@ class RegionSide(enum.Enum):
     ON_SURFACE = "on_surface"
 
 
+# Module-level aliases for the per-step path: looking a member up through
+# its enum class costs about ten times as much as a global name.
+_MINUS = RegionSide.MINUS
+_PLUS = RegionSide.PLUS
+_ON_SURFACE = RegionSide.ON_SURFACE
+
+
 class Classification(enum.Enum):
     TRANSVERSAL_UP = "transversal_up"       # both fields increase g: minus -> plus
     TRANSVERSAL_DOWN = "transversal_down"   # both fields decrease g: plus -> minus
@@ -186,11 +193,11 @@ def side_of(surface: SwitchingSurface, x: Array) -> RegionSide:
     """
     gv = surface.value(x)
     if gv > surface.on_surface_tol:
-        return RegionSide.PLUS
+        return _PLUS
     if gv < -surface.on_surface_tol:
-        return RegionSide.MINUS
+        return _MINUS
     surface.check_gradient_nonzero(x)
-    return RegionSide.ON_SURFACE
+    return _ON_SURFACE
 
 
 def field_for_side(sys: PwsSystem, side: RegionSide, t: float, x: Array) -> Array:

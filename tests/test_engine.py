@@ -395,9 +395,9 @@ class TestDirectSolve:
         legs = []
         solve_leg = engine._solve_leg
 
-        def recording(dvf, t_a, x_a, t_b):
+        def recording(dvf, t_a, x_a, t_b, prev=None):
             legs.append((float(t_a), float(t_b), tuple(x_a.tolist())))
-            return solve_leg(dvf, t_a, x_a, t_b)
+            return solve_leg(dvf, t_a, x_a, t_b, prev)
 
         monkeypatch.setattr(engine, "_solve_leg", recording)
         traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
@@ -412,6 +412,128 @@ class TestDirectSolve:
         assert ev.t_hat == ref.t_hat
         np.testing.assert_array_equal(ev.x_hat, ref.x_hat)
         assert ev.stats_locate == ref.stats_locate
+
+
+def euler_predictor(leg):
+    h = leg["t_b"] - leg["t_a"]
+    return leg["x_a"] + h * leg["dvf"].evaluate(leg["t_a"], leg["x_a"], leg["t_b"], leg["x_a"])
+
+
+class TestStartingValue:
+    """Which value each fixed-point leg solve starts from, and what it costs."""
+
+    @pytest.fixture
+    def recorded_run(self, harmonic, harmonic_dmm, monkeypatch):
+        # Every leg solve, with the starting value its fixed-point
+        # iteration received and the iterations it took.
+        legs = []
+        solve_leg, fixed_point = engine._solve_leg, engine.fixed_point
+
+        def recording_leg(dvf, t_a, x_a, t_b, prev=None):
+            legs.append({"dvf": dvf, "t_a": t_a, "x_a": x_a.copy(), "t_b": t_b,
+                         "prev": prev})
+            return solve_leg(dvf, t_a, x_a, t_b, prev)
+
+        def recording_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
+            x, stats = fixed_point(map_, x0, max_iter=max_iter)
+            legs[-1]["guess"], legs[-1]["iterations"] = x0.copy(), stats.iterations
+            return x, stats
+
+        monkeypatch.setattr(engine, "_solve_leg", recording_leg)
+        monkeypatch.setattr(engine, "fixed_point", recording_fixed_point)
+        traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-3)
+        assert len(traj.events) == 2
+        # Zero-length legs (the bracket solve evaluates the step start)
+        # return their start without iterating.
+        legs = [leg for leg in legs if leg["t_b"] != leg["t_a"]]
+        assert all("guess" in leg for leg in legs)
+        # The first solve of step k is its grid leg; the others are the
+        # in-step legs of localization and the completion legs.
+        grid, other = {}, []
+        times = traj.times.tolist()
+        for leg in legs:
+            k = round(leg["t_a"] / traj.tau)
+            if (k not in grid and times[k] == leg["t_a"] and k + 1 < len(times)
+                    and times[k + 1] == leg["t_b"]):
+                np.testing.assert_array_equal(leg["x_a"], traj.states[k])
+                grid[k] = leg
+            else:
+                other.append(leg)
+        assert sorted(grid) == list(range(len(times) - 1))
+        return traj, grid, other
+
+    def test_warm_grid_legs_start_from_the_extrapolation(self, recorded_run):
+        traj, grid, _ = recorded_run
+        x = traj.states
+        warm = [k for k in grid if k - 3 >= traj.segment_at(k).start_index]
+        assert len(warm) == len(grid) - 3 * len(traj.region_segments)
+        for k in warm:
+            np.testing.assert_array_equal(
+                grid[k]["guess"], 4.0 * (x[k] + x[k - 2]) - 6.0 * x[k - 1] - x[k - 3])
+        iterations = [grid[k]["iterations"] for k in warm]
+        assert sum(iterations) / len(iterations) <= 2.1
+
+    def test_other_legs_start_from_the_euler_predictor(self, recorded_run):
+        # The first three grid legs of each segment, the completion legs
+        # and the in-step legs of locate_crossing.
+        traj, grid, other = recorded_run
+        cold = [grid[k] for k in grid if k - 3 < traj.segment_at(k).start_index]
+        assert len(cold) == 3 * len(traj.region_segments)
+        completion = [leg for leg in other if leg["t_a"] in {ev.t_hat for ev in traj.events}]
+        assert len(completion) == len(traj.events)
+        assert len(other) > len(completion)
+        for leg in cold + other:
+            assert leg["prev"] is None
+            np.testing.assert_array_equal(leg["guess"], euler_predictor(leg))
+
+    @pytest.mark.parametrize("system, x0, T, tau", [
+        ("harmonic", [1.0, 1.0], 20.0, 0.1),
+        ("harmonic", [1.0, 1.0], 20.0, 0.5),
+        ("elliptic", [-1.0, -1.0], 10.0, 0.01),
+    ])
+    def test_coarse_steps_match_the_euler_start(self, request, monkeypatch,
+                                                system, x0, T, tau):
+        # Against a run whose legs all start from the Euler predictor:
+        # the same events, states within 1e-12, and no more iterations
+        # per leg, Newton fallbacks included.
+        sys_ = request.getfixturevalue(system)
+        minus, plus = (resolve_scheme("dmm-midpoint", sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS))
+        solve_leg, fixed_point, newton = engine._solve_leg, engine.fixed_point, engine.newton
+
+        def run(ignore_guess):
+            count = {"legs": 0, "iterations": 0}
+
+            def counted(F):
+                def counted_F(x):
+                    count["iterations"] += 1
+                    return F(x)
+                return counted_F
+
+            def counting_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
+                count["legs"] += 1
+                return fixed_point(counted(map_), x0, max_iter=max_iter)
+
+            def cold_leg(dvf, t_a, x_a, t_b, prev=None):
+                return solve_leg(dvf, t_a, x_a, t_b)
+
+            with monkeypatch.context() as m:
+                m.setattr(engine, "fixed_point", counting_fixed_point)
+                m.setattr(engine, "newton", lambda F, x0: newton(counted(F), x0))
+                if ignore_guess:
+                    m.setattr(engine, "_solve_leg", cold_leg)
+                traj = integrate(sys_, minus, plus, x0, 0.0, T, tau)
+            return traj, count["iterations"] / count["legs"]
+
+        ref, ref_iterations = run(ignore_guess=True)
+        traj, iterations = run(ignore_guess=False)
+        assert len(traj.events) == len(ref.events) >= 4
+        assert ([(ev.step_index, ev.side_from, ev.side_to) for ev in traj.events]
+                == [(ev.step_index, ev.side_from, ev.side_to) for ev in ref.events])
+        np.testing.assert_allclose([ev.t_hat for ev in traj.events],
+                                   [ev.t_hat for ev in ref.events], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-12)
+        assert iterations <= ref_iterations
 
 
 class TestMultipleCrossings:
