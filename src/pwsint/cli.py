@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .diagnostics import conserved_error_series, estimate_order
-from .engine import MAX_CROSSINGS_PER_STEP, MAX_EVENTS, Trajectory, integrate
+from .engine import Trajectory, integrate
 from .errors import ConfigError, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 # Neither name is called here; both stay cli attributes because
@@ -32,8 +32,7 @@ from .systems import SYSTEMS, make_system, resolve_scheme
 # checked by ``make_system``.
 _KEYS = frozenset({
     "system", "scheme.minus", "scheme.plus", "x0", "t0", "T", "tau", "taus",
-    "tau_ref", "events_after", "perturbation.c", "perturbation.p",
-    "max_crossings_per_step", "max_events", "points",
+    "tau_ref", "events_after", "perturbation.c", "perturbation.p", "points",
 })
 
 
@@ -107,8 +106,6 @@ class ExperimentConfig:
     perturbation: tuple | None
     out: str
     events_after: tuple
-    max_crossings_per_step: int
-    max_events: int
 
     def schemes(self):
         return (resolve_scheme(self.scheme_minus_name, self.system, RegionSide.MINUS),
@@ -139,6 +136,12 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         raise ConfigError("tau must be positive")
     if T < t0:
         raise ConfigError("T must not precede t0")
+    taus = _get(kv, "taus", _floats, ())
+    if not all(math.isfinite(t) and t > 0.0 for t in taus):
+        raise ConfigError(f"taus must all be finite and positive, got {taus!r}")
+    events_after = _get(kv, "events_after", _ints, (10, 20, 30))
+    if any(n < 1 for n in events_after):
+        raise ConfigError(f"events_after counts must be at least 1, got {events_after!r}")
     x0 = _get(kv, "x0", _floats, spec.x0)
     if len(x0) != system.dim or not all(map(math.isfinite, x0)):
         raise ConfigError(f"x0 must be {system.dim} finite numbers, got {x0!r}")
@@ -149,13 +152,10 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         scheme_plus_name=kv.get("scheme.plus", spec.scheme),
         x0=x0,
         t0=t0, T=T, tau=tau,
-        taus=_get(kv, "taus", _floats, ()),
+        taus=taus,
         perturbation=perturbation,
         out=out,
-        events_after=_get(kv, "events_after", _ints, (10, 20, 30)),
-        max_crossings_per_step=_get(kv, "max_crossings_per_step", int,
-                                    MAX_CROSSINGS_PER_STEP),
-        max_events=_get(kv, "max_events", int, MAX_EVENTS),
+        events_after=events_after,
     )
     cfg.schemes()  # validate scheme names now, not at run time
     return cfg
@@ -169,9 +169,7 @@ def _run(config: ExperimentConfig, perturbation: tuple | None,
     return integrate(sys_, resolve_scheme(minus, sys_, RegionSide.MINUS),
                      resolve_scheme(plus, sys_, RegionSide.PLUS), config.x0, config.t0,
                      config.T, tau if tau is not None else config.tau,
-                     perturbation=perturbation,
-                     max_crossings_per_step=config.max_crossings_per_step,
-                     max_events=config.max_events)
+                     perturbation=perturbation)
 
 
 def cmd_integrate(config: ExperimentConfig) -> list[str]:

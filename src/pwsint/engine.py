@@ -42,7 +42,6 @@ from .errors import (
     StepTooLarge,
 )
 from .model import (
-    _ON_SURFACE,
     _PLUS,
     Classification,
     PwsSystem,
@@ -59,9 +58,11 @@ Array = np.ndarray
 # Fixed-point iterations spent on a leg before it falls back to Newton.
 NEWTON_FALLBACK_AFTER = 25
 
-# Default caps of ``integrate``: crossings inside one step, events per run.
+# Fixed caps of ``integrate``: crossings inside one step, events and
+# grid steps per run.
 MAX_CROSSINGS_PER_STEP = 4
 MAX_EVENTS = 100_000
+MAX_STEPS = 10_000_000
 
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
 _DIRECT = SolveStats(0, 0.0, 0.0, "direct")
@@ -180,7 +181,7 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     Runs a bracketed scalar root solve on phi(t) = g(xhat(t)), where
     xhat(t) is the inner step solution up to time t; the bracket comes
     from the sign change that triggered the call, so convergence is
-    guaranteed.
+    guaranteed.  Each in-step time is solved, and g evaluated, at most once.
 
     ``end_leg=(t_b, x_b, stats)`` hands in the leg the caller already
     solved to the step end, which is then not solved again; its ``t_b``
@@ -188,33 +189,37 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
 
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
+    A step end in the on-surface band is a landing: the event sits at
+    t_b with the end leg's state, g and solve statistics.
     """
     x_k = np.asarray(x_k, dtype=float)
     n_evals = 0
-    # Each in-step time is solved once: Brent evaluates the step end
-    # again, and the root it returns is usually a time it evaluated.
-    legs: dict[float, tuple[Array, SolveStats]] = {}
+    g_a = surface.value(x_k)
+    # t -> (state, solve stats, g) of the leg from t_k; Brent evaluates
+    # both bracket ends again and returns a time it evaluated.
+    legs: dict[float, tuple[Array, SolveStats, float]] = {t_k: (x_k, _EXPLICIT, g_a)}
     if end_leg is None:
         t_b = t_k + tau
     else:
         t_b, x_b, stats_b = end_leg
-        legs[t_b] = (x_b, stats_b)
+        legs[t_b] = (x_b, stats_b, surface.value(x_b))
 
-    def leg(t: float) -> tuple[Array, SolveStats]:
+    def leg(t: float) -> tuple[Array, SolveStats, float]:
         if t not in legs:
-            legs[t] = _solve_leg(dvf_from, t_k, x_k, t)
+            x, stats = _solve_leg(dvf_from, t_k, x_k, t)
+            legs[t] = (x, stats, surface.value(x))
         return legs[t]
 
     def phi(t: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        return surface.value(leg(t)[0])
+        return leg(t)[2]
 
-    g_a = surface.value(x_k)
     g_b = phi(t_b)
     band = surface.on_surface_tol
     if abs(g_b) <= band:
-        raise ValueError("step endpoint is on the surface; treat as a landing, not a crossing")
+        x_b, stats_b, _ = legs[t_b]
+        return CrossingEvent(t_hat=t_b, x_hat=x_b, residual_g=g_b, stats_locate=stats_b)
 
     a_eff = t_k
     if abs(g_a) > band and g_a * g_b < 0.0:
@@ -245,8 +250,7 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                          "strictly opposite signs at the endpoints")
 
     t_hat = bracketed_root(phi, a_eff, t_b)
-    x_hat, inner = leg(t_hat)
-    g_hat = surface.value(x_hat)
+    x_hat, inner, g_hat = leg(t_hat)
     stats = SolveStats(iterations=n_evals, residual=abs(g_hat),
                        contraction_estimate=inner.contraction_estimate,
                        method_used=inner.method_used)
@@ -256,10 +260,7 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
 
 def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
               scheme_plus: DiscreteVectorField, x0, t0: float, T: float,
-              tau: float, perturbation: tuple[float, float] | None = None,
-              max_steps: int = 10_000_000,
-              max_crossings_per_step: int = MAX_CROSSINGS_PER_STEP,
-              max_events: int = MAX_EVENTS) -> Trajectory:
+              tau: float, perturbation: tuple[float, float] | None = None) -> Trajectory:
     """Integrate the system on the uniform grid t0 + k*tau up to T.
 
     The number of steps is round((T - t0)/tau); the grid always stays
@@ -281,11 +282,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     if span < 0.0:
         raise ConfigError("T must not precede t0")
     n_steps = int(round(span / tau))
-    if n_steps > max_steps:
-        raise ConfigError(f"{n_steps} steps exceed the cap {max_steps}")
-    if max_crossings_per_step < 1 or max_events < 1:
-        raise ConfigError(f"max_crossings_per_step={max_crossings_per_step} and "
-                          f"max_events={max_events} must both be at least 1")
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"{n_steps} steps exceed the cap {MAX_STEPS}")
 
     surface = sys.surface
     side = side_of(surface, x0)
@@ -312,21 +310,14 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 if crossings:
                     events[-1].stats_complete = solve_stats
                 return x_prop, side
-            if crossings >= max_crossings_per_step:
-                raise StepTooLarge(f"more than {max_crossings_per_step} crossings in "
+            if crossings >= MAX_CROSSINGS_PER_STEP:
+                raise StepTooLarge(f"more than {MAX_CROSSINGS_PER_STEP} crossings in "
                                    "the step; reduce the step size")
-            if len(events) >= max_events:
-                raise RunawaySwitching(f"event count exceeded cap {max_events}")
+            if len(events) >= MAX_EVENTS:
+                raise RunawaySwitching(f"event count exceeded cap {MAX_EVENTS}")
 
-            if s2 is _ON_SURFACE:
-                # Landed numerically on the surface: treat as a crossing
-                # at the step end; the far side comes from classification.
-                ev = CrossingEvent(t_hat=t_b, x_hat=x_prop,
-                                   residual_g=surface.value(x_prop),
-                                   stats_locate=solve_stats)
-            else:
-                ev = locate_crossing(dvf, surface, t_a, x_a, t_b - t_a,
-                                     (t_b, x_prop, solve_stats))
+            ev = locate_crossing(dvf, surface, t_a, x_a, t_b - t_a,
+                                 (t_b, x_prop, solve_stats))
             ev.step_index = k
             if crossings:
                 events[-1].stats_complete = ev.stats_locate

@@ -73,6 +73,8 @@ class HarmonicOracle:
             raise InvalidInitialCondition("oracle needs y0 != 0")
         if omega2_minus <= 0.0 or omega2_plus <= 0.0:
             raise ConfigError("frequencies squared must be positive")
+        if not (math.isfinite(t0) and math.isfinite(T)):  # or the event loop never ends
+            raise ConfigError("oracle needs a finite t0 and T")
         self.t0 = float(t0)
         self.T = float(T)
         side = RegionSide.PLUS if x0[1] > 0 else RegionSide.MINUS
@@ -358,6 +360,8 @@ class EllipticOracle:
 
     def __init__(self, a_minus: float, a_plus: float, radius: float,
                  x0, t0: float, T: float):
+        if not (math.isfinite(t0) and math.isfinite(T)):  # or the event loop never ends
+            raise ConfigError("oracle needs a finite t0 and T")
         x, y = (float(v) for v in np.asarray(x0, dtype=float))
         r2 = radius * radius
         g = x * x + y * y - r2

@@ -63,7 +63,9 @@ system.omega2_minus=3.5
                                            ("seed", "0"),
                                            ("solver.fp_max_iter", "7"),
                                            ("solver.fp_tol", "1e-13"),
-                                           ("solver.root_tol_t", "1e-10")])
+                                           ("solver.root_tol_t", "1e-10"),
+                                           ("max_crossings_per_step", "0"),
+                                           ("max_events", "5")])
     def test_unknown_key_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[-1]):
             build_config({key: value})
@@ -72,8 +74,8 @@ system.omega2_minus=3.5
 
     @pytest.mark.parametrize("setting", ["x0=1", "x0=1,1,1", "x0=nan,1", "T=nan",
                                          "tau=nan", "t0=nan", "tau=inf",
-                                         "max_crossings_per_step=0",
-                                         "max_crossings_per_step=-1", "max_events=0"])
+                                         "taus=nan,1e-2,5e-3", "taus=2e-2,0,5e-3",
+                                         "events_after=0", "events_after=10,-1"])
     def test_malformed_run_input_is_config_error(self, tmp_path, setting):
         rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
                    "--set", setting])

@@ -144,6 +144,35 @@ class TestLocateCrossing:
         # phi(t_b) on entry, then every evaluation of the bracket solve
         assert ev.stats_locate.iterations == 1 + len(brent_evals)
 
+    def test_known_ends_are_not_solved_or_evaluated_again(self, harmonic, harmonic_dmm,
+                                                          monkeypatch):
+        # Brent asks for phi at both bracket ends; the step start and the
+        # handed-in step end are known already, so no leg of zero length
+        # is solved, and g is evaluated once at each in-step time (its
+        # value at the root included).
+        x_k = np.array([1.0, 1.0])
+        end = (0.83, *_solve_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
+        legs = []
+        solve_leg = engine._solve_leg
+
+        def recording(dvf, t_a, x_a, t_b, prev=None):
+            legs.append((t_a, t_b))
+            return solve_leg(dvf, t_a, x_a, t_b, prev)
+
+        g_args = []
+
+        def counting_g(x):
+            g_args.append(tuple(x.tolist()))
+            return harmonic.surface.g(x)
+
+        monkeypatch.setattr(engine, "_solve_leg", recording)
+        surface = dataclasses.replace(harmonic.surface, g=counting_g)
+        ev = locate_crossing(harmonic_dmm[1], surface, 0.0, x_k, 0.83, end)
+        assert legs and all(t_a != t_b for t_a, t_b in legs)
+        # t_k, t_b and one per solved leg
+        assert len(g_args) == len(set(g_args)) == len(legs) + 2
+        assert ev.residual_g == harmonic.surface.value(ev.x_hat)
+
 
 class TestIntegrate:
     def test_first_two_events(self, harmonic, harmonic_dmm):
@@ -275,34 +304,31 @@ class TestIntegrate:
             flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
             assert flips == 1, f"step {k}: {flips} sign changes"
 
-    def test_runaway_switching_guard(self, harmonic, harmonic_dmm):
+    def test_runaway_switching_guard(self, harmonic, harmonic_dmm, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVENTS", 2)
         with pytest.raises(RunawaySwitching):
-            run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3, max_events=2)
+            run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3)
 
-    def test_step_count_cap(self, harmonic, harmonic_dmm):
+    def test_step_count_cap(self, harmonic, harmonic_dmm, monkeypatch):
         from pwsint.errors import ConfigError
+        monkeypatch.setattr(engine, "MAX_STEPS", 100)
         with pytest.raises(ConfigError):
-            run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3, max_steps=100)
+            run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3)
 
-    @pytest.mark.parametrize("x0,t0,T,tau,caps", [
-        pytest.param([1.0], 0.0, 1.0, 1e-3, {}, id="x00-0.0-1.0-0.001"),
-        pytest.param([1.0, 1.0, 1.0], 0.0, 1.0, 1e-3, {}, id="x01-0.0-1.0-0.001"),
-        pytest.param([math.nan, 1.0], 0.0, 1.0, 1e-3, {}, id="x02-0.0-1.0-0.001"),
-        pytest.param([1.0, 1.0], math.nan, 1.0, 1e-3, {}, id="x03-nan-1.0-0.001"),
-        pytest.param([1.0, 1.0], 0.0, math.nan, 1e-3, {}, id="x04-0.0-nan-0.001"),
-        pytest.param([1.0, 1.0], 0.0, 1.0, math.nan, {}, id="x05-0.0-1.0-nan"),
-        pytest.param([1.0, 1.0], 0.0, 1.0, math.inf, {}, id="x06-0.0-1.0-inf"),
-        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_crossings_per_step": 0},
-                     id="max_crossings_per_step=0"),
-        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_crossings_per_step": -1},
-                     id="max_crossings_per_step=-1"),
-        pytest.param([1.0, 1.0], 0.0, 1.0, 1e-3, {"max_events": 0}, id="max_events=0"),
+    @pytest.mark.parametrize("x0,t0,T,tau", [
+        pytest.param([1.0], 0.0, 1.0, 1e-3, id="x00-0.0-1.0-0.001"),
+        pytest.param([1.0, 1.0, 1.0], 0.0, 1.0, 1e-3, id="x01-0.0-1.0-0.001"),
+        pytest.param([math.nan, 1.0], 0.0, 1.0, 1e-3, id="x02-0.0-1.0-0.001"),
+        pytest.param([1.0, 1.0], math.nan, 1.0, 1e-3, id="x03-nan-1.0-0.001"),
+        pytest.param([1.0, 1.0], 0.0, math.nan, 1e-3, id="x04-0.0-nan-0.001"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, math.nan, id="x05-0.0-1.0-nan"),
+        pytest.param([1.0, 1.0], 0.0, 1.0, math.inf, id="x06-0.0-1.0-inf"),
     ])
     def test_malformed_inputs_are_config_errors(self, harmonic, harmonic_dmm,
-                                                x0, t0, T, tau, caps):
+                                                x0, t0, T, tau):
         from pwsint.errors import ConfigError
         with pytest.raises(ConfigError):
-            integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1], x0, t0, T, tau, **caps)
+            integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1], x0, t0, T, tau)
 
     def test_region_segments_reference_values(self, harmonic, harmonic_dmm):
         # psi_plus = 1 on plus segments, psi_minus = 3 on minus segments
@@ -561,15 +587,17 @@ class TestMultipleCrossings:
         for first, second in zip(traj.events[0::2], traj.events[1::2]):
             assert first.stats_complete is second.stats_locate
 
-    def test_step_too_large_when_cap_exceeded(self):
+    def test_step_too_large_when_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_CROSSINGS_PER_STEP", 1)
         with pytest.raises(StepTooLarge):
             integrate(self.sys, self.dvfs[0], self.dvfs[1],
-                      self.x0, 0.0, 3.0, 1.0, max_crossings_per_step=1)
+                      self.x0, 0.0, 3.0, 1.0)
 
-    def test_step_too_large_names_the_step(self):
+    def test_step_too_large_names_the_step(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_CROSSINGS_PER_STEP", 1)
         with pytest.raises(StepTooLarge) as info:
             integrate(self.sys, self.dvfs[0], self.dvfs[1],
-                      self.x0, 0.0, 3.0, 1.0, max_crossings_per_step=1)
+                      self.x0, 0.0, 3.0, 1.0)
         assert (info.value.k, info.value.t) == (0, 0.0)
         assert str(info.value).startswith("step 0 at t=0.0: more than 1 crossings")
 

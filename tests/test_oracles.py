@@ -79,6 +79,13 @@ class TestHarmonicOracle:
         with pytest.raises(InvalidInitialCondition):
             harmonic_oracle(3.0, 1.0, [1.0, 0.0], 0.0, 10.0)
 
+    @pytest.mark.parametrize("t0, T", [(0.0, math.nan), (math.nan, 10.0),
+                                       (0.0, math.inf)])
+    def test_non_finite_horizon_rejected(self, t0, T):
+        # no crossing time ever passes a nan or infinite horizon
+        with pytest.raises(ConfigError):
+            harmonic_oracle(3.0, 1.0, [1.0, 1.0], t0, T)
+
     def test_parameter_override(self):
         # omega identical on both sides: plain oscillator, events pi apart
         _, events = harmonic_oracle(1.0, 1.0, [1.0, 1.0], 0.0, 10.0)
@@ -312,6 +319,13 @@ class TestEllipticOracle:
         # the unbounded piece of y^2 = (x + 2)(x - 1)^2, outward from x = 2
         with pytest.raises(FiniteTimeBlowUp, match="t=0.76034599630094"):
             elliptic_oracle(elliptic_system(a_plus=-3.0), [2.0, 2.0], 0.0, 10.0)
+
+    @pytest.mark.parametrize("t0, T", [(0.0, math.nan), (math.nan, 10.0),
+                                       (0.0, math.inf)])
+    def test_non_finite_horizon_rejected(self, elliptic, t0, T):
+        # [-1, -1] lies on an oval, which never reaches an infinite horizon
+        with pytest.raises(ConfigError):
+            elliptic_oracle(elliptic, [-1.0, -1.0], t0, T)
 
     def test_start_on_circle_rejected(self):
         with pytest.raises(InvalidInitialCondition):
