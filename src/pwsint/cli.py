@@ -1,9 +1,12 @@
-"""Experiment runner: integrate, sweep, perturb, conserve, classify.
+"""Experiment runner: integrate, sweep, conserve, classify.
 
 Configuration is a plain key=value text file with dotted keys
 (``perturbation.p=2``), overridable with repeated ``--set key=value``
-flags; a key that nothing reads is rejected.  All results are written
-as CSV with floats at 17 significant digits so they round-trip exactly.
+flags; a key that nothing reads is rejected.  With ``perturbation.p``
+set, every run of ``integrate``, ``sweep`` and ``conserve`` shifts each
+localized crossing by ``perturbation.c * tau**perturbation.p``.  All
+results are written as CSV with floats at 17 significant digits so they
+round-trip exactly.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -126,6 +129,8 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     if "perturbation.p" in kv:
         perturbation = (_get(kv, "perturbation.c", float, 1.0),
                         _get(kv, "perturbation.p", float, None))
+    elif "perturbation.c" in kv:
+        raise ConfigError("perturbation.c needs perturbation.p")
 
     t0 = _get(kv, "t0", float, 0.0)
     T = _get(kv, "T", float, 10.0)
@@ -139,6 +144,8 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     taus = _get(kv, "taus", _floats, ())
     if not all(math.isfinite(t) and t > 0.0 for t in taus):
         raise ConfigError(f"taus must all be finite and positive, got {taus!r}")
+    if len(set(taus)) != len(taus):
+        raise ConfigError(f"taus must not repeat a step size, got {taus!r}")
     events_after = _get(kv, "events_after", _ints, (10, 20, 30))
     if any(n < 1 for n in events_after):
         raise ConfigError(f"events_after counts must be at least 1, got {events_after!r}")
@@ -161,20 +168,14 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     return cfg
 
 
-def _run(config: ExperimentConfig, perturbation: tuple | None,
-         scheme_names: tuple[str, str] | None = None,
-         tau: float | None = None) -> Trajectory:
-    sys_ = config.system
-    minus, plus = scheme_names or (config.scheme_minus_name, config.scheme_plus_name)
-    return integrate(sys_, resolve_scheme(minus, sys_, RegionSide.MINUS),
-                     resolve_scheme(plus, sys_, RegionSide.PLUS), config.x0, config.t0,
-                     config.T, tau if tau is not None else config.tau,
-                     perturbation=perturbation)
+def _run(config: ExperimentConfig) -> Trajectory:
+    return integrate(config.system, *config.schemes(), config.x0, config.t0, config.T,
+                     config.tau, perturbation=config.perturbation)
 
 
 def cmd_integrate(config: ExperimentConfig) -> list[str]:
     """Run one trajectory; emit <out>_trajectory.csv and <out>_events.csv."""
-    traj = _run(config, config.perturbation)
+    traj = _run(config)
     sys_ = config.system
     d = sys_.dim
     d_psi = sys_.conserved_minus.d_psi
@@ -226,13 +227,13 @@ def _reference_for(config: ExperimentConfig):
     sys_ = config.system
     # A run with step tau ends at t0 + round((T - t0)/tau) * tau, which can
     # exceed T slightly; pad the reference horizon to cover every grid end.
-    margin = max(config.taus) if config.taus else config.tau
+    margin = max(config.taus)
     state, events = SYSTEMS[sys_.name].oracle(sys_, config.x0, config.t0,
                                               config.T + margin)
     return state, [ev.t_star for ev in events]
 
 
-def cmd_sweep(config: ExperimentConfig, perturbation: tuple | None) -> list[str]:
+def cmd_sweep(config: ExperimentConfig) -> list[str]:
     """Convergence study over the configured tau list; emit <out>_order.csv."""
     if len(config.taus) < 3:
         raise ConfigError("sweep needs at least 3 values in 'taus'")
@@ -242,7 +243,7 @@ def cmd_sweep(config: ExperimentConfig, perturbation: tuple | None) -> list[str]
     rows = []
     table: dict[str, list[float]] = {c: [] for c in cols}
     for tau in config.taus:
-        traj = _run(config, perturbation, tau=tau)
+        traj = _run(replace(config, tau=tau))
         t_end = float(traj.times[-1])
         err_state = float(np.linalg.norm(traj.states[-1] - np.asarray(ref_state(t_end))))
         errs = [err_state]
@@ -274,13 +275,6 @@ def cmd_sweep(config: ExperimentConfig, perturbation: tuple | None) -> list[str]
     return [path]
 
 
-def cmd_perturb(config: ExperimentConfig) -> list[str]:
-    """Sweep with the configured crossing-time perturbation (required)."""
-    if config.perturbation is None:
-        raise ConfigError("perturb needs perturbation.p (and optionally perturbation.c)")
-    return cmd_sweep(config, config.perturbation)
-
-
 def cmd_conserve(config: ExperimentConfig) -> list[str]:
     """Conserved-quantity error of the conservative scheme vs rk2."""
     sys_ = config.system
@@ -290,8 +284,8 @@ def cmd_conserve(config: ExperimentConfig) -> list[str]:
     if round((config.T - config.t0) / config.tau) == 0:
         write_csv(path, header, [])
         return [path]
-    traj_dmm = _run(config, None, scheme_names=(name, name))
-    traj_rk2 = _run(config, None, scheme_names=("rk2", "rk2"))
+    traj_dmm = _run(replace(config, scheme_minus_name=name, scheme_plus_name=name))
+    traj_rk2 = _run(replace(config, scheme_minus_name="rk2", scheme_plus_name="rk2"))
     err_dmm = conserved_error_series(traj_dmm, sys_)
     err_rk2 = conserved_error_series(traj_rk2, sys_)
     rows = ([float(t), float(a), float(b)]
@@ -341,7 +335,7 @@ def main(argv=None) -> int:
         prog="pwsint",
         description="Event-driven conservative integration of piecewise-smooth ODEs")
     parser.add_argument("command",
-                        choices=["integrate", "sweep", "perturb", "conserve", "classify"])
+                        choices=["integrate", "sweep", "conserve", "classify"])
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--out", default="pwsint", help="output path prefix")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -361,9 +355,7 @@ def main(argv=None) -> int:
         if args.command == "integrate":
             paths = cmd_integrate(config)
         elif args.command == "sweep":
-            paths = cmd_sweep(config, None)
-        elif args.command == "perturb":
-            paths = cmd_perturb(config)
+            paths = cmd_sweep(config)
         elif args.command == "conserve":
             paths = cmd_conserve(config)
         else:

@@ -22,6 +22,8 @@ from .schemes import DiscreteVectorField
 
 Array = np.ndarray
 
+BOUND_WINDOW = 5  # grid samples each side of the step where check_crossing_bound looks
+
 
 @dataclass(frozen=True)
 class OrderEstimate:
@@ -76,19 +78,21 @@ def crossing_time_errors(traj: Trajectory,
 
 
 def estimate_order(taus, errors) -> OrderEstimate:
-    """Least-squares slope of log(error) against log(tau)."""
+    """Least-squares slope of log(error) against log(tau) over the pairs
+    with positive tau and error, which must cover 3 or more distinct taus."""
     taus = np.asarray(taus, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if taus.shape != errors.shape:
         raise ValueError("taus and errors must have matching shapes")
-    usable = errors > 0.0
+    usable = (errors > 0.0) & (taus > 0.0)
     note = ""
     if not np.all(usable):
-        note = f"excluded {int(np.sum(~usable))} non-positive error value(s)"
+        note = f"excluded {int(np.sum(~usable))} pair(s) with a non-positive tau or error"
     taus_u, errors_u = taus[usable], errors[usable]
-    if taus_u.size < 3:
-        raise InsufficientData(f"need at least 3 positive (tau, error) pairs, "
-                               f"got {taus_u.size}")
+    distinct = len(set(taus_u.tolist()))  # np.unique's first call adds ~0.9 MB of RSS
+    if distinct < 3:
+        raise InsufficientData(f"need positive errors at 3 or more distinct positive "
+                               f"step sizes, got {distinct}")
     lx, ly = np.log(taus_u), np.log(errors_u)
     slope, intercept = np.polyfit(lx, ly, 1)
     fit = slope * lx + intercept
@@ -99,19 +103,19 @@ def estimate_order(taus, errors) -> OrderEstimate:
                          float(intercept), float(r2), note)
 
 
-def _window_indices(traj: Trajectory, event: CrossingEvent, width: int) -> range:
+def _window_indices(traj: Trajectory, event: CrossingEvent) -> range:
     k = event.step_index
     if k < 0:
         raise ValueError("event carries no step index")
-    lo = max(0, k - width)
-    hi = min(len(traj.times) - 1, k + 1 + width)
+    lo = max(0, k - BOUND_WINDOW)
+    hi = min(len(traj.times) - 1, k + 1 + BOUND_WINDOW)
     return range(lo, hi + 1)
 
 
 def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
                          oracle_t_star: float, dvf_from: DiscreteVectorField,
                          dvf_to: DiscreteVectorField,
-                         oracle_state=None, window: int = 5) -> BoundReport:
+                         oracle_state=None) -> BoundReport:
     """Empirical check of the crossing-time estimate at one event.
 
     lhs = |t_hat - t_star| must not exceed
@@ -127,7 +131,7 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
     if sys.surface.hess_g is None:
         raise UnsupportedSystem("bound check needs the Hessian of g")
     surface = sys.surface
-    idx = _window_indices(traj, event, window)
+    idx = _window_indices(traj, event)
 
     L_g_hat = max(float(np.linalg.norm(surface.gradient(traj.states[k])))
                   for k in idx)

@@ -1,11 +1,14 @@
 import csv
+import inspect
 import math
+import pathlib
 
 import pytest
 
 from pwsint import cli, conserved_error_series
 from pwsint.cli import build_config, main, parse_kv_file
 from pwsint.errors import ConfigError
+from pwsint.systems import SYSTEMS
 
 
 def read_csv(path):
@@ -75,7 +78,9 @@ system.omega2_minus=3.5
     @pytest.mark.parametrize("setting", ["x0=1", "x0=1,1,1", "x0=nan,1", "T=nan",
                                          "tau=nan", "t0=nan", "tau=inf",
                                          "taus=nan,1e-2,5e-3", "taus=2e-2,0,5e-3",
-                                         "events_after=0", "events_after=10,-1"])
+                                         "taus=1e-2,1e-2,1e-2", "taus=2e-2,0.01,1e-2",
+                                         "events_after=0", "events_after=10,-1",
+                                         "perturbation.c=5"])
     def test_malformed_run_input_is_config_error(self, tmp_path, setting):
         rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
                    "--set", setting])
@@ -86,6 +91,20 @@ system.omega2_minus=3.5
         from pwsint.errors import ConfigError
         with pytest.raises(ConfigError):
             build_config({"scheme.minus": "euler"})
+
+    def test_readme_lists_every_key(self):
+        # The README's configuration block names each key once, as
+        # "key=default"; classify's points key is documented in prose.
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("\n```\nsystem=", 1)[1]
+        block = "system=" + block.split("\n```", 1)[0]
+        keys = [line.split("=", 1)[0] for line in block.splitlines()
+                if line and not line[0].isspace()]
+        assert len(keys) == len(set(keys))
+        assert {k for k in keys if not k.startswith("system.")} == cli._KEYS - {"points"}
+        params = {f"system.{name}" for spec in SYSTEMS.values()
+                  for name in inspect.signature(spec.factory).parameters}
+        assert {k for k in keys if k.startswith("system.")} == params
 
 
 class TestIntegrateCommand:
@@ -121,7 +140,7 @@ class TestIntegrateCommand:
         argv = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
         assert main(["integrate", "--out", out] + argv) == 0
         config = build_config(settings)
-        traj = cli._run(config, None)
+        traj = cli._run(config)
         sys_ = config.system
         psi_err = conserved_error_series(traj, sys_)
         want = []
@@ -205,14 +224,9 @@ class TestSweepCommands:
                    "--set", "taus=1e-2,5e-3"])
         assert rc == 2
 
-    def test_perturb_requires_perturbation(self, tmp_path):
-        rc = main(["perturb", "--out", str(tmp_path / "x"),
-                   "--set", "taus=1e-2,5e-3,2.5e-3"])
-        assert rc == 2
-
     def test_perturb_alias_runs(self, tmp_path):
         out = str(tmp_path / "p")
-        rc = main(["perturb", "--out", out,
+        rc = main(["sweep", "--out", out,
                    "--set", "taus=2e-2,1e-2,5e-3",
                    "--set", "T=6", "--set", "perturbation.p=2",
                    "--set", "events_after="])
@@ -220,6 +234,25 @@ class TestSweepCommands:
         _, rows = read_csv(f"{out}_order.csv")
         slope = next(r for r in rows if r[0] == "slope")
         assert abs(float(slope[3]) - 2.0) < 0.4
+
+    def test_sweep_applies_perturbation(self, tmp_path):
+        # Criterion 4's p=1 case through the CLI: a crossing shifted by
+        # tau^1 brings the final-state error down to first order.
+        out = str(tmp_path / "p1")
+        rc = main(["sweep", "--out", out,
+                   "--set", "taus=2e-2,1e-2,5e-3,2.5e-3,1.25e-3",
+                   "--set", "T=20", "--set", "perturbation.p=1",
+                   "--set", "events_after="])
+        assert rc == 0
+        _, rows = read_csv(f"{out}_order.csv")
+        slope = next(r for r in rows if r[0] == "slope")
+        assert abs(float(slope[3]) - 1.0) < 0.2
+
+    def test_perturb_is_not_a_command(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--out", str(tmp_path / "x"),
+                  "--set", "taus=1e-2,5e-3,2.5e-3", "--set", "perturbation.p=2"])
+        assert exc.value.code == 2
 
 
 class TestConserveCommand:

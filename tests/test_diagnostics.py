@@ -53,6 +53,18 @@ class TestEstimateOrder:
         with pytest.raises(InsufficientData):
             estimate_order([1e-1, 1e-2, 1e-3], [0.0, 0.0, 1e-6])
 
+    def test_needs_three_distinct_positive_taus(self):
+        # Four pairs at two distinct step sizes cannot fix a slope, and a
+        # non-positive tau has no logarithm.
+        with pytest.raises(InsufficientData, match="got 2"):
+            estimate_order([1e-2, 1e-2, 5e-3, 5e-3], [1e-4, 2e-4, 3e-5, 2e-5])
+        with pytest.raises(InsufficientData, match="got 1"):
+            estimate_order([1e-2, 1e-2, 1e-2], [1e-4, 2e-4, 3e-4])
+        with pytest.raises(InsufficientData, match="got 2"):
+            estimate_order([-1e-2, 1e-2, 5e-3], [1e-4, 1e-4, 2.5e-5])
+        est = estimate_order([0.0, 1e-2, 5e-3, 2.5e-3], [1e-4, 1e-4, 2.5e-5, 6.25e-6])
+        assert "excluded 1" in est.note and math.isclose(est.slope, 2.0)
+
 
 class TestConservedErrorSeries:
     def test_single_smooth_step(self, harmonic, harmonic_dmm):
