@@ -21,8 +21,8 @@ from itertools import repeat
 import numpy as np
 
 from .diagnostics import conserved_error_series, estimate_order
-from .engine import Trajectory, integrate
-from .errors import ConfigError, NumericalError, PwsIntError
+from .engine import Trajectory, check_run_inputs, integrate
+from .errors import ConfigError, InsufficientData, NumericalError, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 # Neither name is called here; both stay cli attributes because
 # bench/spans.py wraps them here.
@@ -135,12 +135,6 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     t0 = _get(kv, "t0", float, 0.0)
     T = _get(kv, "T", float, 10.0)
     tau = _get(kv, "tau", float, 1e-3)
-    if not all(map(math.isfinite, (t0, T, tau))):
-        raise ConfigError("t0, T and tau must be finite")
-    if tau <= 0.0:
-        raise ConfigError("tau must be positive")
-    if T < t0:
-        raise ConfigError("T must not precede t0")
     taus = _get(kv, "taus", _floats, ())
     if not all(math.isfinite(t) and t > 0.0 for t in taus):
         raise ConfigError(f"taus must all be finite and positive, got {taus!r}")
@@ -150,8 +144,9 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     if any(n < 1 for n in events_after):
         raise ConfigError(f"events_after counts must be at least 1, got {events_after!r}")
     x0 = _get(kv, "x0", _floats, spec.x0)
-    if len(x0) != system.dim or not all(map(math.isfinite, x0)):
-        raise ConfigError(f"x0 must be {system.dim} finite numbers, got {x0!r}")
+    # sweep calls the oracle and conserve divides by tau before any run
+    # checks these, so they are checked here too.
+    check_run_inputs(system, x0, t0, T, tau)
 
     cfg = ExperimentConfig(
         system=system,
@@ -255,21 +250,15 @@ def cmd_sweep(config: ExperimentConfig) -> list[str]:
         for c, e in zip(cols, errs):
             table[c].append(e)
         rows.append(["data", tau, len(traj.events)] + errs)
-    taus = np.asarray(config.taus)
-    summary = {"slope": [], "intercept": [], "r_squared": []}
+    fits = []
     for c in cols:
-        errs = np.asarray(table[c])
-        ok = np.isfinite(errs) & (errs > 0)
-        if int(ok.sum()) >= 3:
-            est = estimate_order(taus[ok], errs[ok])
-            summary["slope"].append(est.slope)
-            summary["intercept"].append(est.intercept)
-            summary["r_squared"].append(est.r_squared)
-        else:
-            for key in summary:
-                summary[key].append(float("nan"))
-    for kind in ("slope", "intercept", "r_squared"):
-        rows.append([kind, "", ""] + summary[kind])
+        try:
+            est = estimate_order(config.taus, table[c])
+            fits.append((est.slope, est.intercept, est.r_squared))
+        except InsufficientData:
+            fits.append((float("nan"),) * 3)
+    for kind, row in zip(("slope", "intercept", "r_squared"), zip(*fits)):
+        rows.append([kind, "", ""] + list(row))
     path = f"{config.out}_order.csv"
     write_csv(path, ["kind", "tau", "n_events"] + cols, rows)
     return [path]

@@ -79,15 +79,17 @@ def crossing_time_errors(traj: Trajectory,
 
 def estimate_order(taus, errors) -> OrderEstimate:
     """Least-squares slope of log(error) against log(tau) over the pairs
-    with positive tau and error, which must cover 3 or more distinct taus."""
+    with finite positive tau and error, which must cover 3 or more distinct taus."""
     taus = np.asarray(taus, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if taus.shape != errors.shape:
         raise ValueError("taus and errors must have matching shapes")
-    usable = (errors > 0.0) & (taus > 0.0)
+    finite = np.isfinite(taus) & np.isfinite(errors)
+    usable = finite & (errors > 0.0) & (taus > 0.0)
     note = ""
     if not np.all(usable):
-        note = f"excluded {int(np.sum(~usable))} pair(s) with a non-positive tau or error"
+        note = (f"excluded {int(np.sum(finite & ~usable))} pair(s) with a non-positive "
+                f"and {int(np.sum(~finite))} with a non-finite tau or error")
     taus_u, errors_u = taus[usable], errors[usable]
     distinct = len(set(taus_u.tolist()))  # np.unique's first call adds ~0.9 MB of RSS
     if distinct < 3:
@@ -135,8 +137,7 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
 
     L_g_hat = max(float(np.linalg.norm(surface.gradient(traj.states[k])))
                   for k in idx)
-    tol = max(surface.on_surface_tol, 10.0 * abs(event.residual_g))
-    info = classify_interface_point(sys, event.x_hat, event.t_hat, tol=tol)
+    info = classify_interface_point(sys, event.x_hat, event.t_hat, event.residual_g)
     alpha_sq = info.alpha_sq_hat
     lhs = abs(event.t_hat - oracle_t_star)
 

@@ -173,36 +173,32 @@ def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array,
 
 
 def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
-                    t_k: float, x_k: Array, tau: float,
-                    end_leg: tuple[float, Array, SolveStats] | None = None
-                    ) -> CrossingEvent:
-    """Localize the interface crossing inside the step [t_k, t_k + tau].
+                    t_k: float, x_k: Array,
+                    end_leg: tuple[float, Array, SolveStats]) -> CrossingEvent:
+    """Localize the interface crossing inside the step from t_k to t_b.
 
-    Runs a bracketed scalar root solve on phi(t) = g(xhat(t)), where
-    xhat(t) is the inner step solution up to time t; the bracket comes
-    from the sign change that triggered the call, so convergence is
-    guaranteed.  Each in-step time is solved, and g evaluated, at most once.
-
-    ``end_leg=(t_b, x_b, stats)`` hands in the leg the caller already
-    solved to the step end, which is then not solved again; its ``t_b``
-    replaces t_k + tau, which may differ from it by one ulp.
+    ``end_leg=(t_b, x_b, stats)`` is the leg the caller already solved
+    from (t_k, x_k) to the step end, with its solve statistics; it is
+    not solved again.  Runs a bracketed scalar root solve on
+    phi(t) = g(xhat(t)), where xhat(t) is the inner step solution up to
+    time t; the bracket comes from the sign change between x_k and x_b,
+    so convergence is guaranteed.  Each in-step time is solved, and g
+    evaluated, at most once.
 
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
-    A step end in the on-surface band is a landing: the event sits at
-    t_b with the end leg's state, g and solve statistics.
+    A step end in the on-surface band (|g| <= on_surface_tol) is a
+    landing: the event sits at t_b with the end leg's state, g and
+    solve statistics.
     """
     x_k = np.asarray(x_k, dtype=float)
     n_evals = 0
     g_a = surface.value(x_k)
+    t_b, x_b, stats_b = end_leg
     # t -> (state, solve stats, g) of the leg from t_k; Brent evaluates
     # both bracket ends again and returns a time it evaluated.
-    legs: dict[float, tuple[Array, SolveStats, float]] = {t_k: (x_k, _EXPLICIT, g_a)}
-    if end_leg is None:
-        t_b = t_k + tau
-    else:
-        t_b, x_b, stats_b = end_leg
-        legs[t_b] = (x_b, stats_b, surface.value(x_b))
+    legs: dict[float, tuple[Array, SolveStats, float]] = {
+        t_k: (x_k, _EXPLICIT, g_a), t_b: (x_b, stats_b, surface.value(x_b))}
 
     def leg(t: float) -> tuple[Array, SolveStats, float]:
         if t not in legs:
@@ -218,7 +214,6 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     g_b = phi(t_b)
     band = surface.on_surface_tol
     if abs(g_b) <= band:
-        x_b, stats_b, _ = legs[t_b]
         return CrossingEvent(t_hat=t_b, x_hat=x_b, residual_g=g_b, stats_locate=stats_b)
 
     a_eff = t_k
@@ -258,6 +253,20 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                          residual_g=g_hat, stats_locate=stats)
 
 
+def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float) -> Array:
+    """Raise ``ConfigError`` on malformed run inputs; return x0 as a float array."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be {sys.dim} finite numbers, got {x0.tolist()}")
+    if not np.all(np.isfinite((t0, T, tau))):
+        raise ConfigError("t0, T and tau must be finite")
+    if tau <= 0.0:
+        raise ConfigError("tau must be positive")
+    if T < t0:
+        raise ConfigError("T must not precede t0")
+    return x0
+
+
 def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
               scheme_plus: DiscreteVectorField, x0, t0: float, T: float,
               tau: float, perturbation: tuple[float, float] | None = None) -> Trajectory:
@@ -271,17 +280,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     independent integrations share no mutable state, so they may run
     concurrently.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
-        raise ConfigError(f"x0 must be {sys.dim} finite numbers, got {x0!r}")
-    if not np.all(np.isfinite((t0, T, tau))):
-        raise ConfigError("t0, T and tau must be finite")
-    if tau <= 0.0:
-        raise ConfigError("tau must be positive")
-    span = T - t0
-    if span < 0.0:
-        raise ConfigError("T must not precede t0")
-    n_steps = int(round(span / tau))
+    x0 = check_run_inputs(sys, x0, t0, T, tau)
+    n_steps = int(round((T - t0) / tau))
     if n_steps > MAX_STEPS:
         raise ConfigError(f"{n_steps} steps exceed the cap {MAX_STEPS}")
 
@@ -316,14 +316,12 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
             if len(events) >= MAX_EVENTS:
                 raise RunawaySwitching(f"event count exceeded cap {MAX_EVENTS}")
 
-            ev = locate_crossing(dvf, surface, t_a, x_a, t_b - t_a,
-                                 (t_b, x_prop, solve_stats))
+            ev = locate_crossing(dvf, surface, t_a, x_a, (t_b, x_prop, solve_stats))
             ev.step_index = k
             if crossings:
                 events[-1].stats_complete = ev.stats_locate
 
-            tol = max(surface.on_surface_tol, 10.0 * abs(ev.residual_g))
-            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, tol=tol)
+            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g)
             if info.kind in (Classification.SLIDING, Classification.REPELLING):
                 raise NonTransversalCrossing(
                     f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")

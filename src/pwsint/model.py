@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -47,10 +47,10 @@ class Classification(enum.Enum):
 class SwitchingSurface:
     """Scalar switching function g with its gradient and optional Hessian.
 
-    ``on_surface_tol`` is the absolute half-width of the band |g| <= tol
-    inside which a point counts as numerically on the surface.  The
-    gradient must not vanish on that band; this is checked wherever the
-    surface is queried near its zero set.
+    ``on_surface_tol`` (fixed) is the absolute half-width of the band
+    |g| <= tol inside which a point counts as numerically on the surface.
+    The gradient must not vanish on that band; this is checked wherever
+    the surface is queried near its zero set.
 
     ``g`` must also accept a stack of states along a leading axis, shape
     (n, dim), and then return shape (n,); the CLI trajectory writer
@@ -63,7 +63,7 @@ class SwitchingSurface:
     g: StateFunc
     grad_g: Callable[[Array], Array]
     hess_g: Callable[[Array], Array] | None = None
-    on_surface_tol: float = 1e-12
+    on_surface_tol: ClassVar[float] = 1e-12
 
     def value(self, x: Array) -> float:
         gv = float(self.g(x))
@@ -98,15 +98,20 @@ class SwitchingSurface:
             raise EvaluationError("Hessian of g is not symmetric")
         return H
 
-    def check_gradient_nonzero(self, x: Array) -> None:
-        """Runtime guard: grad g must not vanish near the surface."""
-        if np.linalg.norm(self.gradient(x)) == 0.0:
+    def check_gradient_nonzero(self, x: Array) -> Array:
+        """Runtime guard: grad g must not vanish near the surface; returns it."""
+        gr = self.gradient(x)
+        if np.linalg.norm(gr) == 0.0:
             raise EvaluationError(f"grad g vanishes on the surface at x={x!r}")
+        return gr
 
 
 @dataclass(frozen=True)
 class ConservedSet:
     """Conserved quantities of one region: psi maps a state to d_psi values.
+
+    ``rank_tol`` (fixed) is the bound on the smallest singular value of
+    grad psi at or below which ``check_rank`` reports a loss of rank.
 
     ``psi`` must also accept a stack of states along a leading axis,
     shape (n, dim), and then return shape (d_psi, n); the per-sample
@@ -117,7 +122,7 @@ class ConservedSet:
     psi: Callable[[Array], Array]
     grad_psi: Callable[[Array], Array]
     d_psi: int
-    rank_tol: float = 1e-8
+    rank_tol: ClassVar[float] = 1e-8
 
     def values(self, x: Array) -> Array:
         v = np.atleast_1d(np.asarray(self.psi(x), dtype=float))
@@ -220,23 +225,21 @@ class InterfacePoint(NamedTuple):
 
 
 def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
-                             tol: float | None = None) -> InterfacePoint:
+                             residual_g: float = 0.0) -> InterfacePoint:
     """Classify the local geometry at a surface point.
 
     Computes a_pm = grad g(x) . f_pm(t, x).  Both positive means the flow
     crosses with g increasing, both negative with g decreasing; opposite
     signs give repelling or sliding behavior.  Either product inside the
-    on-surface band around zero means transversality fails.  ``tol``
-    widens the on-surface acceptance band for callers that already hold
-    a localized root with a known residual.
+    on-surface band around zero means transversality fails.  x must lie
+    within max(on_surface_tol, 10 * |residual_g|) of the surface, which
+    accepts a localized crossing within ten times its g-residual.
     """
     surface = sys.surface
     gv = surface.value(x)
-    band = surface.on_surface_tol if tol is None else tol
-    if abs(gv) > band:
+    if abs(gv) > max(surface.on_surface_tol, 10.0 * abs(residual_g)):
         raise ValueError(f"point is not on the surface: |g|={abs(gv):.3e}")
-    surface.check_gradient_nonzero(x)
-    grad = surface.gradient(x)
+    grad = surface.check_gradient_nonzero(x)
     a_minus = float(grad @ field_for_side(sys, RegionSide.MINUS, t, x))
     a_plus = float(grad @ field_for_side(sys, RegionSide.PLUS, t, x))
     tol = surface.on_surface_tol

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from pwsint import cli, conserved_error_series
+from pwsint import cli, conserved_error_series, integrate
 from pwsint.cli import build_config, main, parse_kv_file
 from pwsint.errors import ConfigError
 from pwsint.systems import SYSTEMS
@@ -86,6 +86,18 @@ system.omega2_minus=3.5
                    "--set", setting])
         assert rc == 2
         assert not (tmp_path / "m_trajectory.csv").exists()
+        key, value = setting.split("=", 1)
+        if key in ("x0", "t0", "T", "tau"):
+            # integrate takes these too, and rejects them with the same text.
+            with pytest.raises(ConfigError) as cli_error:
+                build_config({"T": "1", key: value})
+            run = {"x0": [1.0, 1.0], "t0": 0.0, "T": 1.0, "tau": 1e-3}
+            run[key] = [float(v) for v in value.split(",")] if key == "x0" else float(value)
+            cfg = build_config({})
+            with pytest.raises(ConfigError) as lib_error:
+                integrate(cfg.system, *cfg.schemes(), run["x0"], run["t0"], run["T"],
+                          run["tau"])
+            assert str(lib_error.value) == str(cli_error.value)
 
     def test_bad_scheme_is_config_error(self):
         from pwsint.errors import ConfigError

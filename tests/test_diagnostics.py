@@ -47,6 +47,12 @@ class TestEstimateOrder:
         assert "excluded 1" in est.note
         assert len(est.taus) == 3
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_errors_excluded_with_note(self, bad):
+        est = estimate_order([1e-2, 5e-3, 2.5e-3, 1e-3], [1e-4, bad, 6e-6, 1e-6])
+        assert est.taus == (1e-2, 2.5e-3, 1e-3)
+        assert est.note.endswith(" and 1 with a non-finite tau or error")
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             estimate_order([1e-1, 1e-2], [1e-2, 1e-4])

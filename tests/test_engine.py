@@ -44,6 +44,11 @@ def run_harmonic(harmonic, schemes, T, tau, **kw):
     return integrate(harmonic, schemes[0], schemes[1], [1.0, 1.0], 0.0, T, tau, **kw)
 
 
+def end_leg(dvf, t_k, x_k, t_b):
+    """The (t_b, x_b, stats) leg that locate_crossing takes for its step end."""
+    return (t_b, *_solve_leg(dvf, t_k, x_k, t_b))
+
+
 class TestSmoothStep:
     def test_midpoint_step_oracle(self, harmonic_dmm):
         x = smooth_step(harmonic_dmm[1], 0.0, np.array([1.0, 1.0]), 0.1)
@@ -81,8 +86,9 @@ class TestLocateCrossing:
         # midpoint field is the Cayley rotation by 2*atan(h/2), so the
         # crossing of y = 0 happens at exactly t = 2*tan(pi/8), and the
         # crossing point is pinned to {x^2 + y^2 = 2} & {y = 0}.
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                             np.array([1.0, 1.0]), 0.83)
+        x_k = np.array([1.0, 1.0])
+        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
+                             end_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
         assert math.isclose(ev.t_hat, 2.0 * math.tan(math.pi / 8.0), abs_tol=1e-12)
         np.testing.assert_allclose(ev.x_hat, [SQRT2, 0.0], rtol=0, atol=1e-12)
         assert abs(ev.residual_g) <= 1e-12
@@ -91,17 +97,18 @@ class TestLocateCrossing:
         # step [0.785, 0.786] straddles pi/4 at tau = 1e-3
         tau = 1e-3
         traj = run_harmonic(harmonic, harmonic_dmm, 0.785, tau)
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.785,
-                             traj.states[-1], tau)
+        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.785, traj.states[-1],
+                             end_leg(harmonic_dmm[1], 0.785, traj.states[-1], 0.785 + tau))
         assert abs(ev.t_hat - PI4) <= 1e-5
         assert abs(ev.residual_g) <= 1e-12
 
     def test_level_set_identity(self, harmonic, harmonic_dmm):
         # Conservative localization keeps psi at its segment value, so the
         # crossing point agrees with the exact one.
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                             np.array([1.0, 1.0]), 0.83)
-        psi0 = harmonic.conserved_plus.values(np.array([1.0, 1.0]))
+        x_k = np.array([1.0, 1.0])
+        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
+                             end_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
+        psi0 = harmonic.conserved_plus.values(x_k)
         psi_hat = harmonic.conserved_plus.values(ev.x_hat)
         assert np.max(np.abs(psi_hat - psi0)) <= 1e-12
 
@@ -114,9 +121,10 @@ class TestLocateCrossing:
         assert abs(np.linalg.norm(ev.x_hat) - 1.0) <= 1e-12  # on the unit circle
 
     def test_no_sign_change_is_caller_error(self, harmonic, harmonic_dmm):
+        x_k = np.array([1.0, 1.0])
+        end = end_leg(harmonic_dmm[1], 0.0, x_k, 0.1)
         with pytest.raises(ValueError):
-            locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0,
-                            np.array([1.0, 1.0]), 0.1)
+            locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, end)
 
     def test_each_in_step_time_solved_once(self, harmonic, monkeypatch):
         # An explicit leg evaluates its field once, with its target time,
@@ -138,8 +146,9 @@ class TestLocateCrossing:
             return root(counted, a, b)
 
         monkeypatch.setattr(engine, "bracketed_root", counting_root)
-        ev = locate_crossing(dataclasses.replace(dvf, evaluate=recording),
-                             harmonic.surface, 0.0, np.array([1.0, 1.0]), 0.83)
+        recorded, x_k = dataclasses.replace(dvf, evaluate=recording), np.array([1.0, 1.0])
+        ev = locate_crossing(recorded, harmonic.surface, 0.0, x_k,
+                             end_leg(recorded, 0.0, x_k, 0.83))
         assert len(targets) == len(set(targets))
         # phi(t_b) on entry, then every evaluation of the bracket solve
         assert ev.stats_locate.iterations == 1 + len(brent_evals)
@@ -151,7 +160,7 @@ class TestLocateCrossing:
         # is solved, and g is evaluated once at each in-step time (its
         # value at the root included).
         x_k = np.array([1.0, 1.0])
-        end = (0.83, *_solve_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
+        end = end_leg(harmonic_dmm[1], 0.0, x_k, 0.83)
         legs = []
         solve_leg = engine._solve_leg
 
@@ -167,7 +176,7 @@ class TestLocateCrossing:
 
         monkeypatch.setattr(engine, "_solve_leg", recording)
         surface = dataclasses.replace(harmonic.surface, g=counting_g)
-        ev = locate_crossing(harmonic_dmm[1], surface, 0.0, x_k, 0.83, end)
+        ev = locate_crossing(harmonic_dmm[1], surface, 0.0, x_k, end)
         assert legs and all(t_a != t_b for t_a, t_b in legs)
         # t_k, t_b and one per solved leg
         assert len(g_args) == len(set(g_args)) == len(legs) + 2
@@ -429,15 +438,6 @@ class TestDirectSolve:
         traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
         assert len(traj.events) == 2
         assert len(legs) == len(set(legs))
-
-    def test_end_leg_gives_the_same_event(self, harmonic, harmonic_dmm):
-        x_k = np.array([1.0, 1.0])
-        end = (0.83, *_solve_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
-        ref = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, 0.83)
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, 0.83, end)
-        assert ev.t_hat == ref.t_hat
-        np.testing.assert_array_equal(ev.x_hat, ref.x_hat)
-        assert ev.stats_locate == ref.stats_locate
 
 
 def euler_predictor(leg):

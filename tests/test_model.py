@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +124,27 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_interface_point(harmonic, np.array([1.0, 1.0]))
 
+    def test_residual_widens_the_band(self, harmonic):
+        # A localized crossing is accepted within 10 * |residual_g| of the
+        # surface; a plain point only within the on-surface band.
+        x = np.array([SQRT2, 5.0 * harmonic.surface.on_surface_tol])
+        with pytest.raises(ValueError):
+            classify_interface_point(harmonic, x)
+        info = classify_interface_point(harmonic, x, residual_g=-x[1] / 5.0)
+        assert info.kind is Classification.TRANSVERSAL_DOWN
+
+    def test_gradient_evaluated_once(self, harmonic):
+        calls = []
+
+        def counting_grad_g(x):
+            calls.append(x)
+            return harmonic.surface.grad_g(x)
+
+        surface = dataclasses.replace(harmonic.surface, grad_g=counting_grad_g)
+        counted = dataclasses.replace(harmonic, surface=surface)
+        classify_interface_point(counted, np.array([SQRT2, 0.0]))
+        assert len(calls) == 1
+
     def test_invariant_under_positive_rescaling(self, harmonic):
         scaled_surface = SwitchingSurface(g=lambda x: 2.0 * x[..., 1],
                                           grad_g=lambda x: np.array([0.0, 2.0]),
@@ -199,6 +223,24 @@ class TestTypesAndCatalog:
                           d_psi=1)
         with pytest.raises(EvaluationError):
             cs.check_rank(np.array([1.0, 1.0]))
+
+    def test_tolerances_are_fixed(self):
+        assert SwitchingSurface.on_surface_tol == 1e-12
+        assert ConservedSet.rank_tol == 1e-8
+        with pytest.raises(TypeError):
+            SwitchingSurface(g=lambda x: x[..., 1], grad_g=lambda x: np.array([0.0, 1.0]),
+                             on_surface_tol=1e-6)
+        with pytest.raises(TypeError):
+            ConservedSet(psi=lambda x: np.array([x[..., 0]]),
+                         grad_psi=lambda x: np.array([[1.0, 0.0]]), d_psi=1, rank_tol=0.0)
+
+    def test_readme_quotes_the_tolerances(self):
+        # The README's tolerance note quotes the values the classes hold.
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        note = readme.read_text(encoding="utf-8").split(
+            "- The geometric tolerances are fixed", 1)[1].split("\n- ", 1)[0]
+        quoted = {float(v) for v in re.findall(r"\b\d+e-\d+\b", note)}
+        assert quoted == {SwitchingSurface.on_surface_tol, ConservedSet.rank_tol}
 
     def test_d_psi_positive(self):
         with pytest.raises(ValueError):
