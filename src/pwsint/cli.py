@@ -2,9 +2,11 @@
 
 Configuration is a plain key=value text file with dotted keys
 (``perturbation.p=2``), overridable with repeated ``--set key=value``
-flags; a key that nothing reads is rejected.  With ``perturbation.p``
+flags; a key that nothing reads is rejected, and every command is a
+function of the checked configuration alone.  With ``perturbation.p``
 set, every run of ``integrate``, ``sweep`` and ``conserve`` shifts each
-localized crossing by ``perturbation.c * tau**perturbation.p``.  All
+localized crossing by ``perturbation.c * tau**perturbation.p``.
+``classify`` reads its surface points from ``points=x,y;x,y``.  All
 results are written as CSV with floats at 17 significant digits so they
 round-trip exactly.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -22,14 +24,14 @@ import numpy as np
 
 from .diagnostics import conserved_error_series, estimate_order
 from .engine import Trajectory, check_run_inputs, integrate
-from .errors import ConfigError, InsufficientData, NumericalError, PwsIntError
+from .errors import ConfigError, InsufficientData, PwsIntError
 from .model import PwsSystem, RegionSide, classify_interface_point
 # Neither name is called here; both stay cli attributes because
 # bench/spans.py wraps them here.
 from .oracles import harmonic_oracle, reference_trajectory  # noqa: F401
 from .systems import SYSTEMS, make_system, resolve_scheme
 
-# Every key read below or by ``main``, and ``tau_ref``, accepted and
+# Every key read by ``build_config``, and ``tau_ref``, accepted and
 # ignored so that configurations that set an RK4 reference step still
 # run; ``system.<p>`` keys are the system factory's parameters and are
 # checked by ``make_system``.
@@ -96,6 +98,10 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _points(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(p for p in map(_floats, text.split(";")) if p)
+
+
 @dataclass
 class ExperimentConfig:
     system: PwsSystem
@@ -109,6 +115,7 @@ class ExperimentConfig:
     perturbation: tuple | None
     out: str
     events_after: tuple
+    points: tuple
 
     def schemes(self):
         return (resolve_scheme(self.scheme_minus_name, self.system, RegionSide.MINUS),
@@ -146,7 +153,12 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
     x0 = _get(kv, "x0", _floats, spec.x0)
     # sweep calls the oracle and conserve divides by tau before any run
     # checks these, so they are checked here too.
-    check_run_inputs(system, x0, t0, T, tau)
+    check_run_inputs(system, x0, t0, T, tau, perturbation)
+    points = _get(kv, "points", _points, ())
+    for pt in points:
+        if len(pt) != system.dim or not all(map(math.isfinite, pt)):
+            raise ConfigError(f"each point must be {system.dim} finite numbers, "
+                              f"got {list(pt)}")
 
     cfg = ExperimentConfig(
         system=system,
@@ -158,6 +170,7 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         perturbation=perturbation,
         out=out,
         events_after=events_after,
+        points=points,
     )
     cfg.schemes()  # validate scheme names now, not at run time
     return cfg
@@ -283,15 +296,15 @@ def cmd_conserve(config: ExperimentConfig) -> list[str]:
     return [path]
 
 
-def cmd_classify(config: ExperimentConfig, points: list[tuple]) -> list[str]:
-    """Classify listed surface points; emit <out>_classify.csv."""
+def cmd_classify(config: ExperimentConfig) -> list[str]:
+    """Classify the configured surface points; emit <out>_classify.csv."""
+    if not config.points:
+        raise ConfigError("classify needs at least one point in 'points'")
     sys_ = config.system
     d = sys_.dim
     rows = []
-    for pt in points:
+    for pt in config.points:
         x = np.asarray(pt, dtype=float)
-        if x.size != d:
-            raise ConfigError(f"point {pt!r} has {x.size} coordinates, expected {d}")
         gv = sys_.surface.value(x)
         base = [float(v) for v in x] + [gv]
         try:
@@ -309,28 +322,19 @@ def cmd_classify(config: ExperimentConfig, points: list[tuple]) -> list[str]:
     return [path]
 
 
-def _parse_points(values: list[str]) -> list[tuple]:
-    pts = []
-    for v in values:
-        try:
-            pts.append(_floats(v))
-        except ValueError:
-            raise ConfigError(f"bad point {v!r}; expected comma-separated floats") from None
-    return pts
+_COMMANDS = {"integrate": cmd_integrate, "sweep": cmd_sweep,
+             "conserve": cmd_conserve, "classify": cmd_classify}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pwsint",
         description="Event-driven conservative integration of piecewise-smooth ODEs")
-    parser.add_argument("command",
-                        choices=["integrate", "sweep", "conserve", "classify"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--out", default="pwsint", help="output path prefix")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a configuration key")
-    parser.add_argument("--point", dest="points", action="append", default=[],
-                        metavar="X1,X2", help="surface point for classify (repeatable)")
     args = parser.parse_args(argv)
 
     try:
@@ -340,25 +344,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             kv[key.strip()] = value.strip()
-        config = build_config(kv, out=args.out)
-        if args.command == "integrate":
-            paths = cmd_integrate(config)
-        elif args.command == "sweep":
-            paths = cmd_sweep(config)
-        elif args.command == "conserve":
-            paths = cmd_conserve(config)
-        else:
-            points = _parse_points(args.points or kv.get("points", "").split(";"))
-            if not points or not any(points):
-                raise ConfigError("classify needs at least one --point or a 'points' key")
-            paths = cmd_classify(config, [p for p in points if p])
-        for p in paths:
+        for p in _COMMANDS[args.command](build_config(kv, out=args.out)):
             print(p)
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: config: {exc}", file=_sys.stderr)
         return 2
-    except (NumericalError, PwsIntError) as exc:
+    except PwsIntError as exc:
         print(f"error: numerical: {exc}", file=_sys.stderr)
         return 3
 

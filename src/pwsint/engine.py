@@ -253,7 +253,8 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                          residual_g=g_hat, stats_locate=stats)
 
 
-def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float) -> Array:
+def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,
+                     perturbation: tuple[float, float] | None = None) -> Array:
     """Raise ``ConfigError`` on malformed run inputs; return x0 as a float array."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
@@ -264,6 +265,8 @@ def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float) -> Arr
         raise ConfigError("tau must be positive")
     if T < t0:
         raise ConfigError("T must not precede t0")
+    if perturbation is not None and not np.all(np.isfinite(perturbation)):
+        raise ConfigError("perturbation c and p must be finite")
     return x0
 
 
@@ -280,7 +283,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     independent integrations share no mutable state, so they may run
     concurrently.
     """
-    x0 = check_run_inputs(sys, x0, t0, T, tau)
+    x0 = check_run_inputs(sys, x0, t0, T, tau, perturbation)
     n_steps = int(round((T - t0) / tau))
     if n_steps > MAX_STEPS:
         raise ConfigError(f"{n_steps} steps exceed the cap {MAX_STEPS}")

@@ -77,6 +77,7 @@ system.omega2_minus=3.5
 
     @pytest.mark.parametrize("setting", ["x0=1", "x0=1,1,1", "x0=nan,1", "T=nan",
                                          "tau=nan", "t0=nan", "tau=inf",
+                                         "tau=0", "tau=-1e-3", "t0=2",
                                          "taus=nan,1e-2,5e-3", "taus=2e-2,0,5e-3",
                                          "taus=1e-2,1e-2,1e-2", "taus=2e-2,0.01,1e-2",
                                          "events_after=0", "events_after=10,-1",
@@ -99,6 +100,38 @@ system.omega2_minus=3.5
                           run["tau"])
             assert str(lib_error.value) == str(cli_error.value)
 
+    @pytest.mark.parametrize("c,p", [("1", "nan"), ("nan", "2"), ("1", "inf"),
+                                     ("inf", "2"), ("-inf", "2")])
+    def test_non_finite_perturbation_is_config_error(self, tmp_path, c, p):
+        rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
+                   "--set", f"perturbation.c={c}", "--set", f"perturbation.p={p}"])
+        assert rc == 2
+        assert not (tmp_path / "m_trajectory.csv").exists()
+        # integrate rejects it with the same text.
+        with pytest.raises(ConfigError) as cli_error:
+            build_config({"perturbation.c": c, "perturbation.p": p})
+        cfg = build_config({})
+        with pytest.raises(ConfigError) as lib_error:
+            integrate(cfg.system, *cfg.schemes(), cfg.x0, 0.0, 1.0, 1e-3,
+                      perturbation=(float(c), float(p)))
+        assert str(lib_error.value) == str(cli_error.value)
+
+    @pytest.mark.parametrize("command", ["integrate", "sweep", "conserve", "classify"])
+    @pytest.mark.parametrize("points", ["garbage", "1,0;1,2,3", "nan,0", "1,0;-inf,0"])
+    def test_malformed_points_are_config_error(self, tmp_path, command, points):
+        with pytest.raises(ConfigError, match="point"):
+            build_config({"points": points})
+        rc = main([command, "--out", str(tmp_path / "m"), "--set", "T=1",
+                   "--set", "taus=4e-2,2e-2,1e-2", "--set", f"points={points}"])
+        assert rc == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_point_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--out", str(tmp_path / "k"), "--point=1,0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --point=1,0" in capsys.readouterr().err
+
     def test_bad_scheme_is_config_error(self):
         from pwsint.errors import ConfigError
         with pytest.raises(ConfigError):
@@ -106,14 +139,14 @@ system.omega2_minus=3.5
 
     def test_readme_lists_every_key(self):
         # The README's configuration block names each key once, as
-        # "key=default"; classify's points key is documented in prose.
+        # "key=default" or "key=example".
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         block = readme.read_text(encoding="utf-8").split("\n```\nsystem=", 1)[1]
         block = "system=" + block.split("\n```", 1)[0]
         keys = [line.split("=", 1)[0] for line in block.splitlines()
                 if line and not line[0].isspace()]
         assert len(keys) == len(set(keys))
-        assert {k for k in keys if not k.startswith("system.")} == cli._KEYS - {"points"}
+        assert {k for k in keys if not k.startswith("system.")} == cli._KEYS
         params = {f"system.{name}" for spec in SYSTEMS.values()
                   for name in inspect.signature(spec.factory).parameters}
         assert {k for k in keys if k.startswith("system.")} == params
@@ -294,8 +327,7 @@ class TestClassifyCommand:
         out = str(tmp_path / "k")
         sqrt2 = math.sqrt(2.0)
         rc = main(["classify", "--out", out,
-                   f"--point={sqrt2},0", f"--point=-{sqrt2},0",
-                   "--point=1,1"])
+                   "--set", f"points={sqrt2},0;-{sqrt2},0;1,1"])
         assert rc == 0
         header, rows = read_csv(f"{out}_classify.csv")
         assert header[-2:] == ["classification", "error"]

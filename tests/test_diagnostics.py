@@ -9,6 +9,7 @@ from pwsint import (
     conserved_error_series,
     crossing_time_errors,
     discrete_transversality,
+    elliptic_oracle,
     estimate_order,
     harmonic_oracle,
     integrate,
@@ -145,12 +146,10 @@ class TestCrossingBound:
 
     def test_elliptic_discrete_bound(self, elliptic, elliptic_dmm):
         # Curved interface (Hessian 2I): discrete analogue with M sampled
-        # from the discrete fields, reference times from a fine run.
-        from pwsint import reference_trajectory
+        # from the discrete fields, reference times from the exact oracle.
         traj = integrate(elliptic, elliptic_dmm[0], elliptic_dmm[1],
                          [-1.0, -1.0], 0.0, 3.0, 1e-3)
-        _, ref_events = reference_trajectory(elliptic, [-1.0, -1.0], 0.0, 3.0,
-                                             2e-5, tau_study=1e-3)
+        _, ref_events = elliptic_oracle(elliptic, [-1.0, -1.0], 0.0, 3.0)
         assert len(traj.events) == len(ref_events) >= 3
         for ev, ov in zip(traj.events, ref_events):
             rep = check_crossing_bound(traj, elliptic, ev, ov.t_star,

@@ -8,6 +8,7 @@ from pwsint import (
     elliptic_oracle,
     elliptic_system,
     harmonic_oracle,
+    make_system,
     reference_trajectory,
 )
 from pwsint.errors import ConfigError, FiniteTimeBlowUp, InvalidInitialCondition
@@ -85,6 +86,17 @@ class TestHarmonicOracle:
         # no crossing time ever passes a nan or infinite horizon
         with pytest.raises(ConfigError):
             harmonic_oracle(3.0, 1.0, [1.0, 1.0], t0, T)
+
+    @pytest.mark.parametrize("omega2_minus, omega2_plus", [(0.0, 1.0), (3.0, -1.0)])
+    def test_non_positive_frequency_rejected(self, omega2_minus, omega2_plus):
+        with pytest.raises(ConfigError):
+            harmonic_oracle(omega2_minus, omega2_plus, [1.0, 1.0], 0.0, 10.0)
+
+    @pytest.mark.parametrize("t", [-1e-3, 10.001])
+    def test_call_outside_horizon_rejected(self, t):
+        oracle, _ = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 10.0)
+        with pytest.raises(ValueError):
+            oracle(t)
 
     def test_parameter_override(self):
         # omega identical on both sides: plain oscillator, events pi apart
@@ -330,3 +342,14 @@ class TestEllipticOracle:
     def test_start_on_circle_rejected(self):
         with pytest.raises(InvalidInitialCondition):
             elliptic_oracle(elliptic_system(), [0.6, 0.8], 0.0, 1.0)
+
+    def test_start_at_equilibrium_rejected(self):
+        # inside the circle of radius 2 the field is (2y, 3x^2 - 3): zero at (1, 0)
+        with pytest.raises(InvalidInitialCondition, match="equilibrium"):
+            elliptic_oracle(make_system("elliptic", radius=2.0), [1.0, 0.0], 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [-1e-3, 3.001])
+    def test_call_outside_horizon_rejected(self, elliptic, t):
+        oracle, _ = elliptic_oracle(elliptic, [-1.0, -1.0], 0.0, 3.0)
+        with pytest.raises(ValueError):
+            oracle(t)
