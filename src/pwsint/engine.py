@@ -3,18 +3,17 @@
 The driver takes uniform steps with the discrete vector field of the
 current region.  Each leg is solved by the field's direct ``solve`` when
 it has one, and otherwise by fixed-point iteration with a Newton
-fallback.  A grid leg whose start and three earlier samples all lie in
-the current region segment starts that iteration from their cubic
-extrapolation, which leaves about two iterations per leg at small
-steps; every other leg starts from the explicit Euler predictor.  When
-the sign of the switching function changes across a proposed step, the
-crossing is localized by an outer bracketed root solve in time wrapped
-around the inner step solve (which reuses the proposal for the step
-end), the step is completed from the crossing point with the other
-region's field, and the event is recorded.  Multiple crossings inside
-one step are handled by re-running detection on the completion leg, up
-to a small cap.  A numerical failure inside a step is re-raised with the
-step's index, start time and starting side.
+fallback; such an iterated grid leg steps by exactly ``tau`` and starts
+from the quintic extrapolation of the last six samples when they all lie
+in the current region segment, which leaves about one iteration per leg
+at small steps.  When the sign of the switching function changes across
+the grid leg, the crossing is localized by an outer bracketed root solve
+in time wrapped around the inner step solve (which reuses the grid leg
+for the step end), the step is completed from the crossing point with
+the other region's field, and the event is recorded.  Multiple crossings
+inside one step are handled by re-running detection on the completion
+leg, up to a small cap.  A numerical failure inside a step is re-raised
+with the step's index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -23,6 +22,7 @@ accuracy limits global accuracy.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -66,6 +66,9 @@ MAX_STEPS = 10_000_000
 
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
 _DIRECT = SolveStats(0, 0.0, 0.0, "direct")
+
+# x_{k+1} ~ _QUINTIC . (x_{k-5}, ..., x_k), exact for quintic samples.
+_QUINTIC = np.array([-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
 
 
 @dataclass
@@ -128,42 +131,36 @@ class Trajectory:
 
 
 def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
-               prev: tuple[Array, Array, Array] | None = None
+               h: float | None = None, guess: Array | None = None
                ) -> tuple[Array, SolveStats]:
-    """Solve x = x_a + (t_b - t_a) * dvf(t_a, x_a, t_b, x) for x.
+    """Solve x = x_a + h * dvf(t_a, x_a, t_b, x) for x, h = t_b - t_a by default.
 
-    Explicit fields evaluate directly.  Implicit ones with a direct
-    ``solve`` call it; the others run fixed-point iteration and fall back
-    to Newton, from the same starting value, when the iteration stalls or
-    expands (large steps).  ``prev=(x_{k-1}, x_{k-2}, x_{k-3})``, the
-    three samples before x_a = x_k on the same uniform grid and field,
-    starts the iteration from the cubic extrapolation
-    4 (x_k + x_{k-2}) - 6 x_{k-1} - x_{k-3}, which misses the solution by
-    O(h^4) (Hairer & Wanner, Solving ODEs II, section IV.8); without it
-    the start is the explicit Euler predictor, which misses by O(h^2).
+    Explicit fields evaluate directly, and implicit ones with a direct
+    ``solve`` call it, both over t_b - t_a.  The others iterate from
+    ``guess``, else from the Euler predictor (O(h^2) off), with a Newton
+    fallback from the same start.  A grid leg passes ``h=tau``, which its
+    rounded end times miss by up to ulp(t), and the quintic extrapolation
+    of the six samples up to x_a, O(h^6) off (Hairer & Wanner, Solving
+    ODEs II, section IV.8).
     """
-    h = t_b - t_a
-    if h == 0.0:
+    if t_b == t_a:
         return x_a.copy(), _EXPLICIT
     if not dvf.is_implicit:
-        x = x_a + h * dvf.evaluate(t_a, x_a, t_b, x_a)
-        return x, _EXPLICIT
+        return x_a + (t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
     if dvf.solve is not None:
         return dvf.solve(t_a, x_a, t_b), _DIRECT
+    if h is None:
+        h = t_b - t_a
 
     def step_map(x):
         return x_a + h * dvf.evaluate(t_a, x_a, t_b, x)
 
-    if prev is None:
+    if guess is None:
         guess = step_map(x_a)
-    else:
-        x_1, x_2, x_3 = prev
-        guess = 4.0 * (x_a + x_2) - 6.0 * x_1 - x_3
     try:
         return fixed_point(step_map, guess, max_iter=NEWTON_FALLBACK_AFTER)
     except (DivergingFixedPoint, NoConvergence):
-        x, stats = newton(lambda x: x - step_map(x), guess)
-        return x, stats
+        return newton(lambda x: x - step_map(x), guess)
 
 
 def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array,
@@ -254,8 +251,9 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
 
 
 def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,
-                     perturbation: tuple[float, float] | None = None) -> Array:
-    """Raise ``ConfigError`` on malformed run inputs; return x0 as a float array."""
+                     perturbation: tuple[float, float] | None = None
+                     ) -> tuple[Array, float]:
+    """Raise ``ConfigError`` on malformed inputs; return x0 and the shift c * tau**p."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"x0 must be {sys.dim} finite numbers, got {x0.tolist()}")
@@ -265,9 +263,15 @@ def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,
         raise ConfigError("tau must be positive")
     if T < t0:
         raise ConfigError("T must not precede t0")
-    if perturbation is not None and not np.all(np.isfinite(perturbation)):
-        raise ConfigError("perturbation c and p must be finite")
-    return x0
+    c, p = (0.0, 0.0) if perturbation is None else perturbation
+    try:
+        shift = c * tau ** p
+    except OverflowError:
+        shift = math.inf
+    if not (math.isfinite(p) and math.isfinite(shift)):
+        raise ConfigError(f"perturbation c, p and c * tau**p must be finite, "
+                          f"got c={c!r}, p={p!r} at tau={tau!r}")
+    return x0, shift
 
 
 def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
@@ -283,7 +287,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     independent integrations share no mutable state, so they may run
     concurrently.
     """
-    x0 = check_run_inputs(sys, x0, t0, T, tau, perturbation)
+    x0, shift = check_run_inputs(sys, x0, t0, T, tau, perturbation)
     n_steps = int(round((T - t0) / tau))
     if n_steps > MAX_STEPS:
         raise ConfigError(f"{n_steps} steps exceed the cap {MAX_STEPS}")
@@ -297,22 +301,12 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     events: list[CrossingEvent] = []
     segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
 
-    def advance(t_a: float, x_a: Array, side: RegionSide, t_b: float, k: int,
-                prev: tuple[Array, Array, Array] | None) -> tuple[Array, RegionSide]:
-        """Advance one grid step, localizing and crossing any transitions.
-
-        ``prev`` holds the three samples before x_a for the grid leg, or
-        None; the completion legs after a crossing never use it.
-        """
+    def advance(dvf: DiscreteVectorField, side: RegionSide, t_a: float, x_a: Array, t_b: float,
+                k: int, x_prop: Array, solve_stats: SolveStats) -> tuple[Array, RegionSide]:
+        """Cross the transitions of a grid step whose leg (x_prop, solve_stats)
+        by ``dvf`` ends off ``side``; return the state at t_b and its side."""
         crossings = 0
         while True:
-            dvf = scheme_plus if side is _PLUS else scheme_minus
-            x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b, prev)
-            s2 = side_of(surface, x_prop)
-            if s2 is side:
-                if crossings:
-                    events[-1].stats_complete = solve_stats
-                return x_prop, side
             if crossings >= MAX_CROSSINGS_PER_STEP:
                 raise StepTooLarge(f"more than {MAX_CROSSINGS_PER_STEP} crossings in "
                                    "the step; reduce the step size")
@@ -339,10 +333,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
             ev.psi_level_residual = float(np.max(np.abs(psi_from - segments[-1].psi_ref)))
             sys.conserved(side_to).check_rank(ev.x_hat)
 
-            t_p = ev.t_hat
-            if perturbation is not None:
-                c, p = perturbation
-                t_p = min(max(ev.t_hat + c * tau ** p, t_a), t_b)
+            t_p = min(max(ev.t_hat + shift, t_a), t_b)
             ev.perturbation_applied = t_p - ev.t_hat
             events.append(ev)
             segments.append(RegionSegment(
@@ -354,31 +345,40 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 # injected perturbation was clamped to the step end.
                 ev.stats_complete = _EXPLICIT
                 return ev.x_hat.copy(), side_to
-            t_a, x_a, side, prev = t_p, ev.x_hat, side_to, None
+            t_a, x_a, side = t_p, ev.x_hat, side_to
+            dvf = scheme_plus if side is _PLUS else scheme_minus
+            x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b)
+            if side_of(surface, x_prop) is side:
+                ev.stats_complete = solve_stats
+                return x_prop, side
 
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x = x0
-    x_1 = x_2 = x_3 = None  # the three samples before x
+    # Grid legs from step warm_from on start from the quintic: their field
+    # iterates (explicit and direct legs never pay for the start), and
+    # x_{k-5}..x_k lie in its segment.  Both change only at crossings.
+    dvf = scheme_plus if side is _PLUS else scheme_minus
+    warm_from = 5 if dvf.is_implicit and dvf.solve is None else n_steps
     # An escaping orbit overflows to inf, which the finiteness checks
     # turn into a typed error; numpy need not warn about it first.
     with np.errstate(over="ignore"):
         for k in range(n_steps):
-            # Python floats from times.item and the state advance returns
-            # keep numpy scalars and row views out of the step; a tolist()
-            # grid would hold one Python float per sample.  The side comes
-            # from advance, not from g at the new state, which may sit on
-            # the surface right after a landing.  The grid leg extrapolates
-            # only from samples that all lie in the current segment.
+            # Python floats from times.item (not a tolist() grid) and the
+            # carried state keep numpy scalars and row views out of the step.
+            # The side comes from advance, not from g at the new state.
+            t_a, t_b = times.item(k), times.item(k + 1)
             try:
-                x_new, side = advance(times.item(k), x, side, times.item(k + 1), k,
-                                      (x_1, x_2, x_3)
-                                      if k - 3 >= segments[-1].start_index else None)
+                x_new, stats = _solve_leg(
+                    dvf, t_a, x, t_b, tau,
+                    _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                if side_of(surface, x_new) is not side:
+                    x_new, side = advance(dvf, side, t_a, x, t_b, k, x_new, stats)
+                    dvf = scheme_plus if side is _PLUS else scheme_minus
+                    warm_from = k + 6 if dvf.is_implicit and dvf.solve is None else n_steps
             except NumericalError as exc:
-                t_k = times.item(k)
-                raise type(exc)(f"step {k} at t={t_k!r}: {exc} (on the {side.value} side)",
-                                k=k, t=t_k, side=side) from exc
-            states[k + 1] = x_new
-            x_3, x_2, x_1, x = x_2, x_1, x, x_new
+                raise type(exc)(f"step {k} at t={t_a!r}: {exc} (on the {side.value} side)",
+                                k=k, t=t_a, side=side) from exc
+            states[k + 1] = x = x_new
     return Trajectory(times=times, states=states, tau=tau,
                       events=events, region_segments=segments)

@@ -81,23 +81,27 @@ system.omega2_minus=3.5
                                          "taus=nan,1e-2,5e-3", "taus=2e-2,0,5e-3",
                                          "taus=1e-2,1e-2,1e-2", "taus=2e-2,0.01,1e-2",
                                          "events_after=0", "events_after=10,-1",
-                                         "perturbation.c=5"])
+                                         "perturbation.c=5", "perturbation.p=-1000"])
     def test_malformed_run_input_is_config_error(self, tmp_path, setting):
         rc = main(["integrate", "--out", str(tmp_path / "m"), "--set", "T=1",
                    "--set", setting])
         assert rc == 2
         assert not (tmp_path / "m_trajectory.csv").exists()
         key, value = setting.split("=", 1)
-        if key in ("x0", "t0", "T", "tau"):
+        if key in ("x0", "t0", "T", "tau", "perturbation.p"):
             # integrate takes these too, and rejects them with the same text.
             with pytest.raises(ConfigError) as cli_error:
                 build_config({"T": "1", key: value})
             run = {"x0": [1.0, 1.0], "t0": 0.0, "T": 1.0, "tau": 1e-3}
-            run[key] = [float(v) for v in value.split(",")] if key == "x0" else float(value)
+            perturbation = None
+            if key == "perturbation.p":
+                perturbation = (1.0, float(value))
+            else:
+                run[key] = [float(v) for v in value.split(",")] if key == "x0" else float(value)
             cfg = build_config({})
             with pytest.raises(ConfigError) as lib_error:
                 integrate(cfg.system, *cfg.schemes(), run["x0"], run["t0"], run["T"],
-                          run["tau"])
+                          run["tau"], perturbation=perturbation)
             assert str(lib_error.value) == str(cli_error.value)
 
     @pytest.mark.parametrize("c,p", [("1", "nan"), ("nan", "2"), ("1", "inf"),

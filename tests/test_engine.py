@@ -164,9 +164,9 @@ class TestLocateCrossing:
         legs = []
         solve_leg = engine._solve_leg
 
-        def recording(dvf, t_a, x_a, t_b, prev=None):
+        def recording(dvf, t_a, x_a, t_b, h=None, guess=None):
             legs.append((t_a, t_b))
-            return solve_leg(dvf, t_a, x_a, t_b, prev)
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
 
         g_args = []
 
@@ -266,6 +266,31 @@ class TestIntegrate:
                 ev, = by_step[k]
                 assert_leg(ev.side_from, t_a, x_a, ev.t_hat, ev.x_hat)
                 assert_leg(ev.side_to, ev.t_hat, ev.x_hat, t_b, x_b)
+
+    @pytest.mark.parametrize("system, schemes, x0, t0, T", [
+        ("harmonic", "harmonic_rk2", [1.0, 1.0], 100.0, 100.7),
+        ("elliptic", "elliptic_dmm", [-1.0, -1.0], 100.0, 100.5),
+    ], ids=["rk2", "dmm-elliptic"])
+    def test_explicit_and_direct_grid_legs_step_by_the_time_difference(
+            self, request, system, schemes, x0, t0, T):
+        # Only iterated grid legs step by tau: a crossing-free span of an
+        # explicit and of a direct-solve run equals, bit for bit, a hand
+        # loop over the rounded grid times.
+        sys_ = request.getfixturevalue(system)
+        minus, plus = request.getfixturevalue(schemes)
+        traj = integrate(sys_, minus, plus, x0, t0, T, 1e-3)
+        assert traj.events == []
+        dvf = plus if traj.region_segments[0].side is RegionSide.PLUS else minus
+        times = traj.times.tolist()
+        # The rounded grid times do not all differ by tau.
+        assert any(t_b - t_a != traj.tau for t_a, t_b in zip(times, times[1:]))
+        x = np.asarray(x0, dtype=float)
+        for k, (t_a, t_b) in enumerate(zip(times, times[1:])):
+            if dvf.solve is None:
+                x = x + (t_b - t_a) * dvf.evaluate(t_a, x, t_b, x)
+            else:
+                x = dvf.solve(t_a, x, t_b)
+            np.testing.assert_array_equal(traj.states[k + 1], x)
 
     def test_perturbation_p15_is_identical_to_unperturbed(self, harmonic, harmonic_dmm):
         # tau^15 = 1e-45 underflows against t_hat ~ 1: bit-identical runs.
@@ -430,9 +455,9 @@ class TestDirectSolve:
         legs = []
         solve_leg = engine._solve_leg
 
-        def recording(dvf, t_a, x_a, t_b, prev=None):
+        def recording(dvf, t_a, x_a, t_b, h=None, guess=None):
             legs.append((float(t_a), float(t_b), tuple(x_a.tolist())))
-            return solve_leg(dvf, t_a, x_a, t_b, prev)
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
 
         monkeypatch.setattr(engine, "_solve_leg", recording)
         traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
@@ -441,7 +466,7 @@ class TestDirectSolve:
 
 
 def euler_predictor(leg):
-    h = leg["t_b"] - leg["t_a"]
+    h = leg["t_b"] - leg["t_a"] if leg["h"] is None else leg["h"]
     return leg["x_a"] + h * leg["dvf"].evaluate(leg["t_a"], leg["x_a"], leg["t_b"], leg["x_a"])
 
 
@@ -450,24 +475,25 @@ class TestStartingValue:
 
     @pytest.fixture
     def recorded_run(self, harmonic, harmonic_dmm, monkeypatch):
-        # Every leg solve, with the starting value its fixed-point
-        # iteration received and the iterations it took.
+        # Every leg solve, with its step, the starting value its
+        # fixed-point iteration received and the iterations it took.
         legs = []
         solve_leg, fixed_point = engine._solve_leg, engine.fixed_point
 
-        def recording_leg(dvf, t_a, x_a, t_b, prev=None):
+        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
             legs.append({"dvf": dvf, "t_a": t_a, "x_a": x_a.copy(), "t_b": t_b,
-                         "prev": prev})
-            return solve_leg(dvf, t_a, x_a, t_b, prev)
+                         "h": h, "start": guess})
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
 
         def recording_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
             x, stats = fixed_point(map_, x0, max_iter=max_iter)
             legs[-1]["guess"], legs[-1]["iterations"] = x0.copy(), stats.iterations
             return x, stats
 
-        monkeypatch.setattr(engine, "_solve_leg", recording_leg)
-        monkeypatch.setattr(engine, "fixed_point", recording_fixed_point)
-        traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-3)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_solve_leg", recording_leg)
+            m.setattr(engine, "fixed_point", recording_fixed_point)
+            traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-3)
         assert len(traj.events) == 2
         # Zero-length legs (the bracket solve evaluates the step start)
         # return their start without iterating.
@@ -486,30 +512,50 @@ class TestStartingValue:
             else:
                 other.append(leg)
         assert sorted(grid) == list(range(len(times) - 1))
+        # Grid legs step by exactly tau, all other legs by t_b - t_a.
+        assert all(leg["h"] == traj.tau for leg in grid.values())
+        assert all(leg["h"] is None for leg in other)
         return traj, grid, other
 
-    def test_warm_grid_legs_start_from_the_extrapolation(self, recorded_run):
+    def test_warm_grid_legs_start_from_the_extrapolation(self, recorded_run, harmonic,
+                                                        harmonic_dmm, monkeypatch):
         traj, grid, _ = recorded_run
         x = traj.states
-        warm = [k for k in grid if k - 3 >= traj.segment_at(k).start_index]
-        assert len(warm) == len(grid) - 3 * len(traj.region_segments)
+        warm = [k for k in grid if k - 5 >= traj.segment_at(k).start_index]
+        assert len(warm) == len(grid) - 5 * len(traj.region_segments)
+        quintic = np.array([-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
         for k in warm:
-            np.testing.assert_array_equal(
-                grid[k]["guess"], 4.0 * (x[k] + x[k - 2]) - 6.0 * x[k - 1] - x[k - 3])
+            np.testing.assert_array_equal(grid[k]["guess"], quintic.dot(x[k - 5:k + 1]))
         iterations = [grid[k]["iterations"] for k in warm]
-        assert sum(iterations) / len(iterations) <= 2.1
+        assert sum(iterations) / len(iterations) <= 1.1
+
+        # Late in a long run the grid times are rounded to a coarser ulp;
+        # warm legs still take one iteration, as they step by tau.
+        late = []
+        solve_leg = engine._solve_leg
+
+        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
+            x, stats = solve_leg(dvf, t_a, x_a, t_b, h, guess)
+            if guess is not None and t_a > 64.0:
+                late.append(stats.iterations)
+            return x, stats
+
+        monkeypatch.setattr(engine, "_solve_leg", recording_leg)
+        run_harmonic(harmonic, harmonic_dmm, 70.0, 1e-3)
+        assert len(late) >= 5000
+        assert sum(late) / len(late) <= 1.1
 
     def test_other_legs_start_from_the_euler_predictor(self, recorded_run):
-        # The first three grid legs of each segment, the completion legs
+        # The first five grid legs of each segment, the completion legs
         # and the in-step legs of locate_crossing.
         traj, grid, other = recorded_run
-        cold = [grid[k] for k in grid if k - 3 < traj.segment_at(k).start_index]
-        assert len(cold) == 3 * len(traj.region_segments)
+        cold = [grid[k] for k in grid if k - 5 < traj.segment_at(k).start_index]
+        assert len(cold) == 5 * len(traj.region_segments)
         completion = [leg for leg in other if leg["t_a"] in {ev.t_hat for ev in traj.events}]
         assert len(completion) == len(traj.events)
         assert len(other) > len(completion)
         for leg in cold + other:
-            assert leg["prev"] is None
+            assert leg["start"] is None
             np.testing.assert_array_equal(leg["guess"], euler_predictor(leg))
 
     @pytest.mark.parametrize("system, x0, T, tau", [
@@ -540,8 +586,8 @@ class TestStartingValue:
                 count["legs"] += 1
                 return fixed_point(counted(map_), x0, max_iter=max_iter)
 
-            def cold_leg(dvf, t_a, x_a, t_b, prev=None):
-                return solve_leg(dvf, t_a, x_a, t_b)
+            def cold_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
+                return solve_leg(dvf, t_a, x_a, t_b, h)
 
             with monkeypatch.context() as m:
                 m.setattr(engine, "fixed_point", counting_fixed_point)
