@@ -152,8 +152,12 @@ def build_config(kv: dict[str, str], out: str = "pwsint") -> ExperimentConfig:
         raise ConfigError(f"events_after counts must be at least 1, got {events_after!r}")
     x0 = _get(kv, "x0", _floats, spec.x0)
     # sweep calls the oracle and conserve divides by tau before any run
-    # checks these, so they are checked here too.
-    check_run_inputs(system, x0, t0, T, tau, perturbation)
+    # checks these, so they are checked here too.  The shift c * tau**p
+    # is checked at the step sizes that run: a sweep's taus, else tau
+    # (integrate checks it again at its own tau).
+    check_run_inputs(system, x0, t0, T, tau, None if taus else perturbation)
+    for step in taus:
+        check_run_inputs(system, x0, t0, T, step, perturbation)
     points = _get(kv, "points", _points, ())
     for pt in points:
         if len(pt) != system.dim or not all(map(math.isfinite, pt)):

@@ -54,10 +54,12 @@ class SwitchingSurface:
 
     ``g`` must also accept a stack of states along a leading axis, shape
     (n, dim), and then return shape (n,); the CLI trajectory writer
-    evaluates it on whole blocks of samples at once.  ``integrate``
-    calls it once per step on a single 1-D state, so it should be cheap
-    there: arithmetic on the 0-d arrays that ``x[..., i]`` returns costs
-    about twice as much as on the scalars that ``x.T[i]`` returns.
+    evaluates it on whole blocks of samples at once, and ``integrate``
+    on each block of states that a field with a ``march`` returns.  For
+    other fields ``integrate`` calls it once per step on a single 1-D
+    state, so it should be cheap there: arithmetic on the 0-d arrays
+    that ``x[..., i]`` returns costs about twice as much as on the
+    scalars that ``x.T[i]`` returns.
     """
 
     g: StateFunc

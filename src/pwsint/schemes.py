@@ -6,11 +6,17 @@ x_b = x_a + (t_b - t_a) * f_tau(t_a, x_a, t_b, x_b).  Implicit schemes
 use x_b; explicit ones ignore it.  Keeping one call shape for both lets
 the transition engine stay scheme-agnostic.
 
-An implicit field may also carry ``solve(t_a, x_a, t_b) -> x_b``, a
-direct solution of its own step equation; the engine then calls it
-instead of iterating.  ``dmm-elliptic`` has one: its step equation
-reduces to one scalar quadratic.  Fields without it (the midpoint rule,
-user fields) are solved by fixed-point iteration with a Newton fallback.
+An implicit field may also carry ``march(times, x_a) -> states``, a
+direct solution of its own step equation over a grid: it takes one step
+per pair of consecutive ``times`` from ``x_a`` and returns the states at
+``times[1:]``, shape (m, dim).  It stops before the first step it cannot
+take, so m may be short of ``len(times) - 1``; only when that is its
+first step does it raise ``StepTooLarge``.  The engine solves every leg
+of such a field by a march over two times, and marches whole blocks of
+grid steps at once.  ``dmm-elliptic`` has one: its step equation
+reduces to one scalar quadratic, solved in a loop over Python floats.
+Fields without it (the midpoint rule, user fields) are solved by
+fixed-point iteration with a Newton fallback.
 
 Conservative instances carry the conserved set they preserve exactly:
 the implicit midpoint field preserves quadratic invariants of linear
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from .model import ConservedSet, VectorField
 
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
-SolveFunc = Callable[[float, Array, float], Array]
+MarchFunc = Callable[[Sequence[float], Array], Array]
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class DiscreteVectorField:
     conserves: ConservedSet | None = None
     is_symmetric: bool = False
     name: str = ""
-    solve: SolveFunc | None = None
+    march: MarchFunc | None = None
 
 
 def implicit_midpoint_dvf(f: VectorField,
@@ -77,8 +83,11 @@ def elliptic_dmm_dvf(a: float,
     solves h^2 X^2 + (h^2 x - 1) X + (x + 2 h y + h^2 (x^2 + a)) = 0;
     the root that tends to x as h -> 0 is taken in cancellation-free
     form, and one application of the step map at (X, Y) gives x_b, as
-    the last iterate of a fixed-point solve would.  A step with no such
-    root (h^2 x >= 1, or a negative discriminant) raises StepTooLarge.
+    the last iterate of a fixed-point solve would.  ``march`` takes
+    these steps over a grid of times, forward or backward, in one loop
+    over Python floats.  A step with no such root (h^2 x >= 1, or a
+    negative discriminant) ends the march, and raises StepTooLarge when
+    it is the first.
     """
 
     def evaluate(t_a, x_a, t_b, x_b):
@@ -86,24 +95,31 @@ def elliptic_dmm_dvf(a: float,
         xp, yp = x_b[0], x_b[1]
         return np.array([y + yp, x * x + x * xp + xp * xp + a])
 
-    def solve(t_a, x_a, t_b):
-        h = float(t_b - t_a)
+    def march(times, x_a):
+        ts = np.asarray(times, dtype=float).tolist()
         x, y = x_a.tolist()
-        hh = h * h
-        b = hh * x - 1.0
-        c = x + 2.0 * h * y + hh * (x * x + a)
-        disc = b * b - 4.0 * hh * c
-        if not (b < 0.0 and disc >= 0.0):
-            raise StepTooLarge(f"the step equation over h={h!r} has no root near "
-                               f"the state, |x|={math.hypot(x, y):.6g}")
-        xp = 2.0 * c / (-b + math.sqrt(disc))
-        yp = y + h * (x * x + x * xp + xp * xp + a)
-        # The step map at (xp, yp) returns yp itself as its second entry.
-        return np.array([x + h * (y + yp), yp])
+        flat = []
+        for t_a, t_b in zip(ts, ts[1:]):
+            h = t_b - t_a
+            hh = h * h
+            b = hh * x - 1.0
+            c = x + 2.0 * h * y + hh * (x * x + a)
+            disc = b * b - 4.0 * hh * c
+            if not (b < 0.0 and disc >= 0.0):
+                if flat:
+                    break
+                raise StepTooLarge(f"the step equation over h={h!r} has no root near "
+                                   f"the state, |x|={math.hypot(x, y):.6g}")
+            xp = 2.0 * c / (-b + math.sqrt(disc))
+            yp = y + h * (x * x + x * xp + xp * xp + a)
+            # The step map at (xp, yp) returns yp itself as its second entry.
+            x, y = x + h * (y + yp), yp
+            flat += (x, y)
+        return np.array(flat).reshape(-1, 2)
 
     return DiscreteVectorField(evaluate, order=2, is_implicit=True,
                                conserves=conserves, is_symmetric=True,
-                               name="dmm-elliptic", solve=solve)
+                               name="dmm-elliptic", march=march)
 
 
 def rk2_dvf(f: VectorField) -> DiscreteVectorField:

@@ -45,7 +45,7 @@ class SolveStats:
 
     ``contraction_estimate`` is the last observed ratio of successive
     update norms; values below one indicate the iteration contracted.
-    A leg solved in closed form by the field's own ``solve`` reports
+    A leg solved in closed form by the field's own ``march`` reports
     ``"direct"`` with no iterations.
     """
 

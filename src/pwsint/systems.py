@@ -136,7 +136,7 @@ class SystemSpec:
     reads only ``sys`` (its fields, conserved sets and ``params``), so
     it also serves a copy of the system with replaced callables.  It
     may build a direct step solve from ``sys.params`` (the field's
-    ``solve``); ``dmm-elliptic`` has one, built from the region's ``a``.
+    ``march``); ``dmm-elliptic`` has one, built from the region's ``a``.
     ``oracle(sys, x0, t0, T)`` returns the exact solution as a state
     function of t and its crossings up to T; it reads only ``sys.params``.
     """

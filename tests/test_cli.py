@@ -297,6 +297,34 @@ class TestSweepCommands:
         slope = next(r for r in rows if r[0] == "slope")
         assert abs(float(slope[3]) - 1.0) < 0.2
 
+    def test_shift_checked_only_at_the_sweep_taus(self, tmp_path):
+        # 0.04**-110 ~ 1e153 is finite; 1e-3**-110, at the unused default
+        # tau, is not.
+        out = str(tmp_path / "s")
+        rc = main(["sweep", "--out", out, "--set", "taus=0.04,0.02,0.01",
+                   "--set", "perturbation.p=-110", "--set", "T=5"])
+        assert rc == 0
+        _, rows = read_csv(f"{out}_order.csv")
+        assert [float(r[1]) for r in rows if r[0] == "data"] == [0.04, 0.02, 0.01]
+
+    @pytest.mark.parametrize("command, settings", [
+        ("sweep", ["taus=0.04,0.02,0.001"]),
+        ("integrate", ["taus=0.04,0.02,0.01"]),
+        ("integrate", []),
+    ])
+    def test_shift_overflow_at_a_run_tau_is_exit_2(self, tmp_path, capsys,
+                                                   command, settings):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--set", "perturbation.p=-110",
+                "--set", "T=5"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: config: perturbation c, p and c * tau**p must be finite, "
+            "got c=1.0, p=-110.0 at tau=0.001\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_perturb_is_not_a_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--out", str(tmp_path / "x"),

@@ -286,10 +286,10 @@ class TestIntegrate:
         assert any(t_b - t_a != traj.tau for t_a, t_b in zip(times, times[1:]))
         x = np.asarray(x0, dtype=float)
         for k, (t_a, t_b) in enumerate(zip(times, times[1:])):
-            if dvf.solve is None:
+            if dvf.march is None:
                 x = x + (t_b - t_a) * dvf.evaluate(t_a, x, t_b, x)
             else:
-                x = dvf.solve(t_a, x, t_b)
+                x = dvf.march((t_a, t_b), x)[0]
             np.testing.assert_array_equal(traj.states[k + 1], x)
 
     def test_perturbation_p15_is_identical_to_unperturbed(self, harmonic, harmonic_dmm):
@@ -416,7 +416,7 @@ class TestDirectSolve:
         # The generic midpoint rule on the elliptic field has no direct
         # solve and keeps the fixed-point path.
         dvf = resolve_scheme("dmm-midpoint", elliptic, RegionSide.PLUS)
-        assert dvf.solve is None
+        assert dvf.march is None
         _, stats = _solve_leg(dvf, 0.0, np.array([-1.0, -1.0]), 1e-2)
         assert stats.method_used == "fixed_point"
 
@@ -463,6 +463,74 @@ class TestDirectSolve:
         traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
         assert len(traj.events) == 2
         assert len(legs) == len(set(legs))
+
+
+def one_row_march(dvf):
+    """``dvf`` with a march that takes at most one step per call."""
+    march = dvf.march
+    return dataclasses.replace(dvf, march=lambda times, x: march(times[:2], x))
+
+
+def block_rows(traj):
+    """Row of its march block at which each crossing step falls.
+
+    A block starts on the step after the previous crossing step (or on
+    step 0) and every MARCH_BLOCK steps after it.
+    """
+    rows, prev = [], -1
+    for k in sorted({ev.step_index for ev in traj.events}):
+        rows.append((k - prev - 1) % engine.MARCH_BLOCK)
+        prev = k
+    return rows
+
+
+class TestMarch:
+    def test_blocks_change_nothing(self, elliptic, elliptic_dmm):
+        # Runs marched in blocks equal, bit for bit, runs whose march
+        # takes one step per call, crossings on the first and the last
+        # row of a block included.
+        one_row = tuple(map(one_row_march, elliptic_dmm))
+        rows = set()
+        for perturbation in (None, (1.0, 2.0)):
+            for tau in (0.04, 0.02, 0.01, 0.005, 0.0025):
+                runs = [integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau,
+                                  perturbation=perturbation)
+                        for schemes in (elliptic_dmm, one_row)]
+                blocks, single = runs
+                assert np.array_equal(blocks.states, single.states)
+                assert np.array_equal(blocks.times, single.times)
+                assert len(blocks.events) == len(single.events) > 0
+                for ev_b, ev_s in zip(blocks.events, single.events):
+                    for f in dataclasses.fields(ev_b):
+                        a, b = getattr(ev_b, f.name), getattr(ev_s, f.name)
+                        assert np.array_equal(a, b) if f.name == "x_hat" else a == b, f.name
+                assert ([(s.start_index, s.side) for s in blocks.region_segments]
+                        == [(s.start_index, s.side) for s in single.region_segments])
+                rows.update(block_rows(blocks))
+        assert {0, engine.MARCH_BLOCK - 1} <= rows
+
+    def test_fields_without_march_take_no_block(self, harmonic, harmonic_dmm, monkeypatch):
+        # Only marching fields evaluate g on stacks of states.
+        g = harmonic.surface.g
+        shapes = []
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return g(x)
+
+        surface = dataclasses.replace(harmonic.surface, g=recording)
+        sys_ = dataclasses.replace(harmonic, surface=surface)
+        traj = run_harmonic(sys_, harmonic_dmm, 3.0, 1e-2)
+        assert len(traj.events) == 2
+        assert set(shapes) == {(2,)}
+
+    def test_g_that_does_not_broadcast_is_rejected(self, elliptic, elliptic_dmm):
+        surface = dataclasses.replace(
+            elliptic.surface, g=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0)
+        sys_ = dataclasses.replace(elliptic, surface=surface)
+        with pytest.raises(EvaluationError, match="does not broadcast") as info:
+            integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 1.0, 1e-2)
+        assert info.value.k == 0
 
 
 def euler_predictor(leg):

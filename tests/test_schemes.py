@@ -113,7 +113,7 @@ class TestEllipticDmm:
             return x[1] ** 2 - x[0] ** 3 - a_param * x[0]
 
         dvf = elliptic_dmm_dvf(a_param)
-        iterated = dataclasses.replace(dvf, solve=None)
+        iterated = dataclasses.replace(dvf, march=None)
         rng = np.random.default_rng(6)
         for _ in range(2000):
             x_a = rng.uniform(-1.5, 1.5, size=2)
@@ -132,7 +132,40 @@ class TestEllipticDmm:
     ])
     def test_direct_solve_without_root_raises(self, x_a, h):
         with pytest.raises(StepTooLarge, match="no root near the state"):
-            elliptic_dmm_dvf(-2.0).solve(0.0, np.array(x_a), h)
+            elliptic_dmm_dvf(-2.0).march((0.0, h), np.array(x_a))
+
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_march_stops_before_the_first_step_without_root(self, k):
+        # Steps of 0.01 from x ~ 1, then one of 10: h^2 x >= 1 there.
+        dvf = elliptic_dmm_dvf(-2.0)
+        times = [0.01 * i for i in range(k + 1)] + [10.0, 10.01]
+        x_a = np.array([1.0, 0.5])
+        rows = dvf.march(times, x_a)
+        assert rows.shape == (k, 2)
+        # Each row is the one-step march from the row before it.
+        x = x_a
+        for i, row in enumerate(rows):
+            x = dvf.march(times[i:i + 2], x)[0]
+            np.testing.assert_array_equal(row, x)
+        with pytest.raises(StepTooLarge, match="no root near the state"):
+            dvf.march(times[k:], rows[-1])
+
+    def test_march_backward_retraces_the_forward_march(self):
+        # Symmetric in its endpoints: marching back over the same grid
+        # returns the forward states, and psi is conserved both ways.
+        a = -3.0
+        dvf = elliptic_dmm_dvf(a)
+        times = 0.01 * np.arange(51)
+        x_a = np.array([-1.0, -1.0])
+        forward = dvf.march(times, x_a)
+        backward = dvf.march(times[::-1], forward[-1])
+        assert forward.shape == backward.shape == (50, 2)
+        np.testing.assert_allclose(backward, np.vstack([forward[-2::-1], x_a]),
+                                   rtol=0.0, atol=1e-13)
+        psi = forward[:, 1] ** 2 - forward[:, 0] ** 3 - a * forward[:, 0]
+        psi_a = x_a[1] ** 2 - x_a[0] ** 3 - a * x_a[0]
+        assert np.max(np.abs(psi - psi_a)) <= 1e-13
 
 
 class TestRk2:
