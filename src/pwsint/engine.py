@@ -3,22 +3,28 @@
 The driver takes uniform steps with the discrete vector field of the
 current region.  A field with a direct ``march`` (``dmm-elliptic``)
 advances a block of up to ``MARCH_BLOCK`` grid steps in one call; ``g``
-is evaluated once on the stacked block, the leading rows that lie
-strictly on the segment's side are committed, and the step of the first
-other row goes to the per-step code.  That code solves one leg per step:
-by a march over two times, by explicit evaluation, or by fixed-point
-iteration with a Newton fallback; such an iterated grid leg steps by
-exactly ``tau`` and starts from the quintic extrapolation of the last
-six samples when they all lie in the current region segment, which
-leaves about one iteration per leg at small steps.  When the sign of the
-switching function changes across the grid leg, the crossing is
-localized by an outer bracketed root solve in time wrapped around the
-inner step solve (which reuses the grid leg for the step end), the step
-is completed from the crossing point with the other region's field, and
-the event is recorded.  Multiple crossings inside one step are handled
-by re-running detection on the completion leg, up to a small cap.  A
-numerical failure inside a step is re-raised with the step's index,
-start time and starting side.
+is evaluated once on the stacked block, and the leading rows that lie
+strictly on the segment's side are committed.  The step of the next
+row goes to the per-step code with that row as its leg and the block's
+``g`` as its value, so it is not solved again (a non-finite ``g`` is
+solved and evaluated again there, to raise).  The per-step code
+otherwise solves one leg per step: by a march over two times, by explicit
+evaluation, or by fixed-point iteration with a Newton fallback; such an
+iterated grid leg steps by exactly ``tau`` and starts from the quintic
+extrapolation of the last six samples when they all lie in the current
+region segment, which leaves about one iteration per leg at small
+steps.  The per-step code evaluates ``g`` once per step end and hands
+that value on as well.  When the sign of the switching function changes
+across the grid leg, the crossing is localized by an outer bracketed
+root solve in time wrapped around the inner step solve; it takes ``g``
+at both step ends from its caller and evaluates ``g`` once per in-step
+leg it solves.  The crossing is classified with the event's own ``g``
+residual, the step is completed from the crossing point with the other
+region's field, and the event is recorded; ``g`` at the completion
+leg's end decides its side and carries on to the next step.  Multiple
+crossings inside one step are handled by re-running detection on the
+completion leg, up to a small cap.  A numerical failure inside a step
+is re-raised with the step's index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -181,16 +187,18 @@ def smooth_step(dvf: DiscreteVectorField, t_k: float, x_k: Array,
 
 def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
                     t_k: float, x_k: Array,
-                    end_leg: tuple[float, Array, SolveStats]) -> CrossingEvent:
+                    end_leg: tuple[float, Array, SolveStats],
+                    g_a: float, g_b: float) -> CrossingEvent:
     """Localize the interface crossing inside the step from t_k to t_b.
 
     ``end_leg=(t_b, x_b, stats)`` is the leg the caller already solved
     from (t_k, x_k) to the step end, with its solve statistics; it is
-    not solved again.  Runs a bracketed scalar root solve on
-    phi(t) = g(xhat(t)), where xhat(t) is the inner step solution up to
-    time t; the bracket comes from the sign change between x_k and x_b,
-    so convergence is guaranteed.  Each in-step time is solved, and g
-    evaluated, at most once.
+    not solved again.  ``g_a`` and ``g_b`` are g at x_k and x_b, which
+    the caller has; they are not evaluated again.  Runs a bracketed
+    scalar root solve on phi(t) = g(xhat(t)), where xhat(t) is the inner
+    step solution up to time t; the bracket comes from the sign change
+    between x_k and x_b, so convergence is guaranteed.  Each in-step
+    time is solved, and g evaluated, at most once.
 
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
@@ -199,13 +207,12 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     solve statistics.
     """
     x_k = np.asarray(x_k, dtype=float)
-    n_evals = 0
-    g_a = surface.value(x_k)
+    n_evals = 1  # phi(t_b), known on entry
     t_b, x_b, stats_b = end_leg
     # t -> (state, solve stats, g) of the leg from t_k; Brent evaluates
     # both bracket ends again and returns a time it evaluated.
     legs: dict[float, tuple[Array, SolveStats, float]] = {
-        t_k: (x_k, _EXPLICIT, g_a), t_b: (x_b, stats_b, surface.value(x_b))}
+        t_k: (x_k, _EXPLICIT, g_a), t_b: (x_b, stats_b, g_b)}
 
     def leg(t: float) -> tuple[Array, SolveStats, float]:
         if t not in legs:
@@ -218,7 +225,6 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
         n_evals += 1
         return leg(t)[2]
 
-    g_b = phi(t_b)
     band = surface.on_surface_tol
     if abs(g_b) <= band:
         return CrossingEvent(t_hat=t_b, x_hat=x_b, residual_g=g_b, stats_locate=stats_b)
@@ -309,7 +315,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         raise ConfigError(f"{n_steps} steps exceed the cap {MAX_STEPS}")
 
     surface = sys.surface
-    side = side_of(surface, x0)
+    g_x = surface.value(x0)
+    side = side_of(surface, x0, g_x)
     if side is RegionSide.ON_SURFACE:
         raise InvalidInitialCondition("initial state lies on the switching surface")
     sys.conserved(side).check_rank(x0)
@@ -317,10 +324,12 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     events: list[CrossingEvent] = []
     segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
 
-    def advance(dvf: DiscreteVectorField, side: RegionSide, t_a: float, x_a: Array, t_b: float,
-                k: int, x_prop: Array, solve_stats: SolveStats) -> tuple[Array, RegionSide]:
+    def advance(dvf: DiscreteVectorField, side: RegionSide, t_a: float, x_a: Array,
+                t_b: float, k: int, x_prop: Array, solve_stats: SolveStats,
+                g_a: float, g_b: float) -> tuple[Array, RegionSide, float]:
         """Cross the transitions of a grid step whose leg (x_prop, solve_stats)
-        by ``dvf`` ends off ``side``; return the state at t_b and its side."""
+        by ``dvf`` ends off ``side``, with g_a and g_b the values of g at
+        x_a and x_prop; return the state at t_b, its side and its g."""
         crossings = 0
         while True:
             if crossings >= MAX_CROSSINGS_PER_STEP:
@@ -329,12 +338,15 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
             if len(events) >= MAX_EVENTS:
                 raise RunawaySwitching(f"event count exceeded cap {MAX_EVENTS}")
 
-            ev = locate_crossing(dvf, surface, t_a, x_a, (t_b, x_prop, solve_stats))
+            ev = locate_crossing(dvf, surface, t_a, x_a, (t_b, x_prop, solve_stats),
+                                 g_a, g_b)
             ev.step_index = k
             if crossings:
                 events[-1].stats_complete = ev.stats_locate
 
-            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g)
+            # ev.residual_g is g at ev.x_hat.
+            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g,
+                                            ev.residual_g)
             if info.kind in (Classification.SLIDING, Classification.REPELLING):
                 raise NonTransversalCrossing(
                     f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")
@@ -346,7 +358,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
             ev.side_from, ev.side_to = side, side_to
 
             psi_from = sys.conserved(side).values(ev.x_hat)
-            ev.psi_level_residual = float(np.max(np.abs(psi_from - segments[-1].psi_ref)))
+            ev.psi_level_residual = float(abs(psi_from - segments[-1].psi_ref).max())
             sys.conserved(side_to).check_rank(ev.x_hat)
 
             t_p = min(max(ev.t_hat + shift, t_a), t_b)
@@ -360,13 +372,14 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 # Completion leg has zero length: exact landing, or the
                 # injected perturbation was clamped to the step end.
                 ev.stats_complete = _EXPLICIT
-                return ev.x_hat.copy(), side_to
-            t_a, x_a, side = t_p, ev.x_hat, side_to
+                return ev.x_hat.copy(), side_to, ev.residual_g
+            t_a, x_a, side, g_a = t_p, ev.x_hat, side_to, ev.residual_g
             dvf = scheme_plus if side is _PLUS else scheme_minus
             x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b)
-            if side_of(surface, x_prop) is side:
+            g_b = surface.value(x_prop)
+            if side_of(surface, x_prop, g_b) is side:
                 ev.stats_complete = solve_stats
-                return x_prop, side
+                return x_prop, side, g_b
 
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
@@ -382,12 +395,15 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     # turn into a typed error; numpy need not warn about it first.
     with np.errstate(over="ignore"):
         while k < n_steps:
-            stop = n_steps
+            stop, first_leg = n_steps, None
             if dvf.march is not None:
                 # Commit the leading marched rows that lie strictly on
                 # this side (a non-finite g does not); the step of the
                 # first other row, or the first step the march could not
-                # take, goes to the per-step loop below.
+                # take, goes to the per-step loop below.  A next row with
+                # a finite g is that step's leg and g, as a march over
+                # its two times would give them; a row with a non-finite
+                # g is solved and evaluated again there, to raise.
                 n_block = min(MARCH_BLOCK, n_steps - k)
                 try:
                     rows = dvf.march(times[k:k + n_block + 1], x)
@@ -400,34 +416,44 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                     raise _at_step(exc, k, times.item(k), side) from exc
                 lo, hi = (band, math.inf) if side is _PLUS else (-math.inf, -band)
                 inside = (gv > lo) & (gv < hi)
-                n = len(rows) if inside.all() else int(inside.argmin())
+                n = int(inside.argmin())
+                if inside[n]:
+                    n = len(rows)
                 if n:
                     states[k + 1:k + n + 1] = rows[:n]
                     k += n
-                    x = rows[n - 1]
+                    x, g_x = rows[n - 1], gv.item(n - 1)
                 if n == n_block:
                     continue
+                if n < len(rows) and math.isfinite(gv.item(n)):
+                    first_leg = rows[n], _DIRECT, gv.item(n)
                 stop = k + 1
             for k in range(k, stop):
                 # Python floats from times.item (not a tolist() grid) and the
                 # carried state keep numpy scalars and row views out of the
-                # step.  The side comes from advance, not from g at the new
-                # state.
+                # step.  After a crossing, the side and g come from advance.
                 t_a, t_b = times.item(k), times.item(k + 1)
                 try:
-                    x_new, stats = _solve_leg(
-                        dvf, t_a, x, t_b, tau,
-                        _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
-                    if side_of(surface, x_new) is not side:
-                        x_new, side = advance(dvf, side, t_a, x, t_b, k, x_new, stats)
+                    if first_leg is None:
+                        x_new, stats = _solve_leg(
+                            dvf, t_a, x, t_b, tau,
+                            _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                        g_new = surface.value(x_new)
+                    else:
+                        x_new, stats, g_new = first_leg
+                    if side_of(surface, x_new, g_new) is not side:
+                        x_new, side, g_new = advance(dvf, side, t_a, x, t_b, k, x_new, stats,
+                                                     g_x, g_new)
                         dvf = scheme_plus if side is _PLUS else scheme_minus
                         warm_from = k + 6 if dvf.is_implicit and dvf.march is None else n_steps
                         if dvf.march is not None:
                             states[k + 1] = x = x_new
+                            g_x = g_new
                             break
                 except NumericalError as exc:
                     raise _at_step(exc, k, t_a, side) from exc
                 states[k + 1] = x = x_new
+                g_x = g_new
             k += 1
     return Trajectory(times=times, states=states, tau=tau,
                       events=events, region_segments=segments)

@@ -59,7 +59,14 @@ class SwitchingSurface:
     other fields ``integrate`` calls it once per step on a single 1-D
     state, so it should be cheap there: arithmetic on the 0-d arrays
     that ``x[..., i]`` returns costs about twice as much as on the
-    scalars that ``x.T[i]`` returns.
+    scalars that ``x.T[i]`` returns.  Row i of ``g`` on a stack must
+    have the same bits as ``g`` on row i alone (true of elementwise
+    arithmetic), since ``integrate`` uses the block's values in place
+    of single-state ones.  ``integrate`` evaluates ``g`` once per state
+    it computes and reuses the value: at a step end (from the block, or
+    from the single-state call) it decides the side and brackets a
+    crossing, and at a crossing point it classifies the crossing.  A
+    crossing adds one call per in-step leg it solves.
     """
 
     g: StateFunc
@@ -146,9 +153,15 @@ class ConservedSet:
         return psi
 
     def check_rank(self, x: Array) -> None:
-        """Full row rank of grad psi, via the smallest singular value."""
+        """Full row rank of grad psi, via the smallest singular value.
+
+        A single row's one singular value is its norm; more rows, or a
+        row that is not finite, take the SVD.
+        """
         G = np.atleast_2d(np.asarray(self.grad_psi(x), dtype=float))
-        smin = np.linalg.svd(G, compute_uv=False)[-1]
+        smin = math.hypot(*G[0].tolist()) if len(G) == 1 else math.nan
+        if not math.isfinite(smin):
+            smin = np.linalg.svd(G, compute_uv=False)[-1]
         if smin <= self.rank_tol:
             raise EvaluationError(
                 f"grad psi loses rank at x={x!r} (smallest singular value {smin:.3e})")
@@ -192,13 +205,17 @@ class PwsSystem:
         raise ValueError("no conserved set on the surface itself")
 
 
-def side_of(surface: SwitchingSurface, x: Array) -> RegionSide:
+def side_of(surface: SwitchingSurface, x: Array, gv: float | None = None) -> RegionSide:
     """Classify which side of the surface x lies on.
 
     Points with |g(x)| <= on_surface_tol count as on the surface, which
     keeps sign tests stable against round-off right at a crossing.
+    ``gv`` is ``surface.value(x)`` when the caller has it already, as
+    ``integrate`` does at every step end; the public two-argument form
+    evaluates it.
     """
-    gv = surface.value(x)
+    if gv is None:
+        gv = surface.value(x)
     if gv > surface.on_surface_tol:
         return _PLUS
     if gv < -surface.on_surface_tol:
@@ -227,7 +244,8 @@ class InterfacePoint(NamedTuple):
 
 
 def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
-                             residual_g: float = 0.0) -> InterfacePoint:
+                             residual_g: float = 0.0,
+                             gv: float | None = None) -> InterfacePoint:
     """Classify the local geometry at a surface point.
 
     Computes a_pm = grad g(x) . f_pm(t, x).  Both positive means the flow
@@ -235,15 +253,32 @@ def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
     signs give repelling or sliding behavior.  Either product inside the
     on-surface band around zero means transversality fails.  x must lie
     within max(on_surface_tol, 10 * |residual_g|) of the surface, which
-    accepts a localized crossing within ten times its g-residual.
+    accepts a localized crossing within ten times its g-residual; ``gv``
+    is ``surface.value(x)`` when the caller has it already.  ``integrate``
+    passes an event's own g-residual as both, so the band check cannot
+    fail on its call; it guards the public callers, which pass no ``gv``.
+
+    grad g and both fields are evaluated once and checked on scalars: the
+    sum of their entries is finite only if every entry is, and grad g
+    vanishes only if its dot product with itself does.  A failed
+    scalar check runs the array checks, which name the failing part.
     """
     surface = sys.surface
-    gv = surface.value(x)
+    if gv is None:
+        gv = surface.value(x)
     if abs(gv) > max(surface.on_surface_tol, 10.0 * abs(residual_g)):
         raise ValueError(f"point is not on the surface: |g|={abs(gv):.3e}")
-    grad = surface.check_gradient_nonzero(x)
-    a_minus = float(grad @ field_for_side(sys, RegionSide.MINUS, t, x))
-    a_plus = float(grad @ field_for_side(sys, RegionSide.PLUS, t, x))
+    grad = np.asarray(surface.grad_g(x), dtype=float)
+    f_minus = np.asarray(sys.f_minus(t, x), dtype=float)
+    f_plus = np.asarray(sys.f_plus(t, x), dtype=float)
+    flat = grad.ravel()
+    if not (math.isfinite(sum(flat.tolist()) + sum(f_minus.tolist()) + sum(f_plus.tolist()))
+            and flat.dot(flat)):
+        surface.check_gradient_nonzero(x)
+        field_for_side(sys, RegionSide.MINUS, t, x)
+        field_for_side(sys, RegionSide.PLUS, t, x)
+    a_minus = float(grad.dot(f_minus))
+    a_plus = float(grad.dot(f_plus))
     tol = surface.on_surface_tol
     if abs(a_minus) <= tol or abs(a_plus) <= tol:
         raise DegenerateTangency(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -49,6 +50,12 @@ def end_leg(dvf, t_k, x_k, t_b):
     return (t_b, *_solve_leg(dvf, t_k, x_k, t_b))
 
 
+def locate(dvf, surface, t_k, x_k, end):
+    """locate_crossing, with g at both step ends evaluated here."""
+    return locate_crossing(dvf, surface, t_k, x_k, end,
+                           surface.value(x_k), surface.value(end[1]))
+
+
 class TestSmoothStep:
     def test_midpoint_step_oracle(self, harmonic_dmm):
         x = smooth_step(harmonic_dmm[1], 0.0, np.array([1.0, 1.0]), 0.1)
@@ -87,7 +94,7 @@ class TestLocateCrossing:
         # crossing of y = 0 happens at exactly t = 2*tan(pi/8), and the
         # crossing point is pinned to {x^2 + y^2 = 2} & {y = 0}.
         x_k = np.array([1.0, 1.0])
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
+        ev = locate(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
                              end_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
         assert math.isclose(ev.t_hat, 2.0 * math.tan(math.pi / 8.0), abs_tol=1e-12)
         np.testing.assert_allclose(ev.x_hat, [SQRT2, 0.0], rtol=0, atol=1e-12)
@@ -97,7 +104,7 @@ class TestLocateCrossing:
         # step [0.785, 0.786] straddles pi/4 at tau = 1e-3
         tau = 1e-3
         traj = run_harmonic(harmonic, harmonic_dmm, 0.785, tau)
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.785, traj.states[-1],
+        ev = locate(harmonic_dmm[1], harmonic.surface, 0.785, traj.states[-1],
                              end_leg(harmonic_dmm[1], 0.785, traj.states[-1], 0.785 + tau))
         assert abs(ev.t_hat - PI4) <= 1e-5
         assert abs(ev.residual_g) <= 1e-12
@@ -106,7 +113,7 @@ class TestLocateCrossing:
         # Conservative localization keeps psi at its segment value, so the
         # crossing point agrees with the exact one.
         x_k = np.array([1.0, 1.0])
-        ev = locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
+        ev = locate(harmonic_dmm[1], harmonic.surface, 0.0, x_k,
                              end_leg(harmonic_dmm[1], 0.0, x_k, 0.83))
         psi0 = harmonic.conserved_plus.values(x_k)
         psi_hat = harmonic.conserved_plus.values(ev.x_hat)
@@ -124,7 +131,7 @@ class TestLocateCrossing:
         x_k = np.array([1.0, 1.0])
         end = end_leg(harmonic_dmm[1], 0.0, x_k, 0.1)
         with pytest.raises(ValueError):
-            locate_crossing(harmonic_dmm[1], harmonic.surface, 0.0, x_k, end)
+            locate(harmonic_dmm[1], harmonic.surface, 0.0, x_k, end)
 
     def test_each_in_step_time_solved_once(self, harmonic, monkeypatch):
         # An explicit leg evaluates its field once, with its target time,
@@ -147,7 +154,7 @@ class TestLocateCrossing:
 
         monkeypatch.setattr(engine, "bracketed_root", counting_root)
         recorded, x_k = dataclasses.replace(dvf, evaluate=recording), np.array([1.0, 1.0])
-        ev = locate_crossing(recorded, harmonic.surface, 0.0, x_k,
+        ev = locate(recorded, harmonic.surface, 0.0, x_k,
                              end_leg(recorded, 0.0, x_k, 0.83))
         assert len(targets) == len(set(targets))
         # phi(t_b) on entry, then every evaluation of the bracket solve
@@ -176,9 +183,9 @@ class TestLocateCrossing:
 
         monkeypatch.setattr(engine, "_solve_leg", recording)
         surface = dataclasses.replace(harmonic.surface, g=counting_g)
-        ev = locate_crossing(harmonic_dmm[1], surface, 0.0, x_k, end)
+        ev = locate(harmonic_dmm[1], surface, 0.0, x_k, end)
         assert legs and all(t_a != t_b for t_a, t_b in legs)
-        # t_k, t_b and one per solved leg
+        # t_k and t_b by the caller, and one per solved leg
         assert len(g_args) == len(set(g_args)) == len(legs) + 2
         assert ev.residual_g == harmonic.surface.value(ev.x_hat)
 
@@ -531,6 +538,120 @@ class TestMarch:
         with pytest.raises(EvaluationError, match="does not broadcast") as info:
             integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 1.0, 1e-2)
         assert info.value.k == 0
+
+
+def float_digest(values) -> str:
+    """sha256 of the comma-joined ``float.hex`` forms of the values."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return hashlib.sha256(",".join(map(float.hex, flat)).encode()).hexdigest()
+
+
+# The elliptic dmm-elliptic run from (-1, -1) to T=10, one entry per step
+# size: the crossing steps, the sides entered, and the digests of the
+# grid times, the states, t_hat and x_hat.  Each pinned quantity comes
+# from Python-float and elementwise numpy arithmetic (the march, g and
+# Brent's iteration), not from a BLAS dot or libm's pow, so its bits do
+# not depend on the host.
+ELLIPTIC_GOLDEN = {
+    0.04: ([24, 40, 71, 87, 119, 135, 166, 182, 213, 230], "-+-+-+-+-+", (
+        "d104880d3a14b35029469151a93dcc71ba755d329c53fd269a5081ef6431c6eb",
+        "0eba987db14c36ab6f47c20cc543f8fa5116e6b94ef69eaf55a0fe35a8a3d15e",
+        "8dc9c9439c6c2fe444da8be460537348b46fc249fc8a4d69cc30763b5f36eb2f",
+        "1eba9718d6a4136f4de7dbd858be47c6f806edab2a27def3141337549f43e6e5")),
+    0.02: ([48, 80, 143, 175, 238, 270, 332, 364, 427, 459], "-+-+-+-+-+", (
+        "81a8f3616207c3649feb04e931ea4dd10464dd403a65746672369694a5043734",
+        "d7725bac060888cfad138f59cc409ab1bdc34a4e611ba4c582d08631125a7d22",
+        "3bd6034c4a0f307b2d240c8bb75bb40f6a543843a4a044885c214b73cfb65e80",
+        "b042ab80e29326593ffb45ba2200cfe2982132978a424845d40db7cf77b71402")),
+    0.01: ([97, 161, 286, 351, 476, 540, 665, 729, 854, 919], "-+-+-+-+-+", (
+        "7f96e48a5b803c9c8fc61c17f1fa3d82c227ac47e0c85c491c332fa3f8fd4f4a",
+        "38cabeda2cef8c51939394e83875aa8ced9a1b2ffaa0a123ac26a48b416b4420",
+        "71ee7c8540e19f780559f8f9bd2e93f3e4e6070c6d4e4f2618c33b3f10f1fd89",
+        "c8657dbec3032c946e926b15bcb3fb901e39a51710463983f59c3b889da32c8b")),
+    0.005: ([195, 323, 573, 702, 952, 1080, 1331, 1459, 1709, 1838], "-+-+-+-+-+", (
+        "6a3438bb8248c73a566550fa28dfb75ff90d848679bdc805e4b66058a96eb55b",
+        "07af6cadd6b6c3cd337b9b54cd615b47abf3ba2263d090ba5f54e186210282bd",
+        "bee844b19c75f93357c73412413ac225011a4b01888bae0a7eb5dbc6d2a67803",
+        "e9889387dca53ade810bb8412cb20cc6acf4a773faf0e5bd28f977a8a5656bed")),
+    0.0025: ([390, 646, 1147, 1404, 1904, 2161, 2662, 2919, 3419, 3676], "-+-+-+-+-+", (
+        "fee40f0b3194a355134aace187bb207364589e22786f5ecaba34de0c9401c727",
+        "1b648db7805e9f54fd92daec8d033a3736bd396ca4ecf6ca55964269112e6edf",
+        "20f94a829d915bf4cae7c16ce971886f756c2ea23ceab7598f16b59c7f28add4",
+        "368a27db54db9962eb4f6e597d9ec09c446a319861af70ac8cdfd4b6be71ae85")),
+}
+
+
+def counted_elliptic(elliptic):
+    """The elliptic system and its dmm-elliptic fields, counting calls.
+
+    Counts single-state g evaluations (``g``), g on stacks (``g_stack``),
+    marches over two times (``march2``) and over more (``block``), and
+    grad psi evaluations (``grad_psi``).
+    """
+    counts = dict.fromkeys(("g", "g_stack", "march2", "block", "grad_psi"), 0)
+
+    def counting_g(x):
+        counts["g" if np.ndim(x) == 1 else "g_stack"] += 1
+        return elliptic.surface.g(x)
+
+    def counting_set(cs):
+        def grad_psi(x):
+            counts["grad_psi"] += 1
+            return cs.grad_psi(x)
+        return dataclasses.replace(cs, grad_psi=grad_psi)
+
+    def counting_march(dvf):
+        def march(times, x):
+            counts["march2" if len(times) == 2 else "block"] += 1
+            return dvf.march(times, x)
+        return dataclasses.replace(dvf, march=march)
+
+    sys_ = dataclasses.replace(
+        elliptic, surface=dataclasses.replace(elliptic.surface, g=counting_g),
+        conserved_minus=counting_set(elliptic.conserved_minus),
+        conserved_plus=counting_set(elliptic.conserved_plus))
+    schemes = tuple(counting_march(resolve_scheme("dmm-elliptic", sys_, side))
+                    for side in (RegionSide.MINUS, RegionSide.PLUS))
+    return sys_, schemes, counts
+
+
+class TestCrossingCost:
+    @pytest.mark.parametrize("tau", sorted(ELLIPTIC_GOLDEN, reverse=True))
+    def test_marched_runs_match_the_golden_digests(self, elliptic, elliptic_dmm, tau):
+        steps, sides, digests = ELLIPTIC_GOLDEN[tau]
+        traj = integrate(elliptic, *elliptic_dmm, [-1.0, -1.0], 0.0, 10.0, tau)
+        assert [ev.step_index for ev in traj.events] == steps
+        assert "".join("+" if ev.side_to is RegionSide.PLUS else "-"
+                       for ev in traj.events) == sides
+        assert (float_digest(traj.times), float_digest(traj.states),
+                float_digest([ev.t_hat for ev in traj.events]),
+                float_digest([ev.x_hat for ev in traj.events])) == digests
+
+    def test_a_crossing_costs_its_solves(self, elliptic, monkeypatch):
+        # A ratchet on the crossing bookkeeping.  The marched row that
+        # ends a crossing step goes to the crossing code with its g from
+        # the block, the localization takes g at both step ends from its
+        # caller, and the classification reuses the event's g.  What is
+        # left per crossing: g once per leg solved (4.3 in-step legs and
+        # the completion leg, all marches over two times), and grad psi
+        # once, for the rank check on the side entered, by its norm.
+        sys_, schemes, counts = counted_elliptic(elliptic)
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        traj = integrate(sys_, *schemes, [-1.0, -1.0], 0.0, 10.0, 0.01)
+        n = len(traj.events)
+        assert n == 10
+        # Beyond the crossings: g at x0, and the rank check at x0.
+        assert counts["g"] - 1 == counts["march2"] == 53
+        assert counts["grad_psi"] - 1 == n
+        assert counts["g_stack"] == counts["block"] == 19
+        assert svd_calls == []
 
 
 def euler_predictor(leg):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import pathlib
@@ -145,6 +146,56 @@ class TestClassify:
         classify_interface_point(counted, np.array([SQRT2, 0.0]))
         assert len(calls) == 1
 
+    def test_errors_name_the_failing_part(self):
+        # The products decide the common case; a non-finite or zero one
+        # falls back to the array checks, which raise the same errors, in
+        # the same order, as checking each array first.
+        x = np.array([0.0, 0.0])
+        xr = repr(x)
+        nan_field = lambda t, x: np.array([math.nan, 1.0])
+        one = lambda t, x: np.array([0.0, 1.0])
+        cases = [
+            (lambda x: np.array([math.inf, 1.0]), one, one,
+             EvaluationError, f"grad g is not finite at x={xr}"),
+            (lambda x: np.array([0.0, 0.0]), one, one,
+             EvaluationError, f"grad g vanishes on the surface at x={xr}"),
+            # Squares that underflow: the norm is 0 although the products
+            # with large fields are not.
+            (lambda x: np.array([0.0, 1e-170]), lambda t, x: np.array([0.0, 1e200]),
+             lambda t, x: np.array([0.0, 1e200]),
+             EvaluationError, f"grad g vanishes on the surface at x={xr}"),
+            (lambda x: np.array([0.0, 1.0]), nan_field, one,
+             EvaluationError, f"field for side minus not finite at x={xr}"),
+            (lambda x: np.array([0.0, 1.0]), one, nan_field,
+             EvaluationError, f"field for side plus not finite at x={xr}"),
+            (lambda x: np.array([0.0, 1.0]), lambda t, x: np.array([1.0, 0.0]), one,
+             DegenerateTangency,
+             f"transversality fails at x={xr}: a_minus=0.000e+00, a_plus=1.000e+00"),
+        ]
+        conserved = ConservedSet(psi=lambda x: np.array([x[..., 0]]),
+                                 grad_psi=lambda x: np.array([[1.0, 0.0]]), d_psi=1)
+        for grad_g, f_minus, f_plus, error, text in cases:
+            sys_ = PwsSystem(dim=2, f_minus=f_minus, f_plus=f_plus,
+                             surface=SwitchingSurface(g=lambda x: x[..., 1], grad_g=grad_g),
+                             conserved_minus=conserved, conserved_plus=conserved)
+            with pytest.raises(error) as info:
+                classify_interface_point(sys_, x)
+            assert str(info.value) == text
+
+    def test_known_g_is_not_evaluated_again(self, harmonic):
+        calls = []
+
+        def counting_g(x):
+            calls.append(x)
+            return harmonic.surface.g(x)
+
+        surface = dataclasses.replace(harmonic.surface, g=counting_g)
+        counted = dataclasses.replace(harmonic, surface=surface)
+        x = np.array([SQRT2, 0.0])
+        assert (classify_interface_point(counted, x, gv=0.0)
+                == classify_interface_point(harmonic, x))
+        assert calls == []
+
     def test_invariant_under_positive_rescaling(self, harmonic):
         scaled_surface = SwitchingSurface(g=lambda x: 2.0 * x[..., 1],
                                           grad_g=lambda x: np.array([0.0, 2.0]),
@@ -261,3 +312,71 @@ class TestTypesAndCatalog:
         # psi_plus = y^2 - x^3 + 2x is 0 at (-1, -1)
         v = elliptic.conserved_plus.values(np.array([-1.0, -1.0]))
         np.testing.assert_allclose(v, [0.0], atol=1e-15)
+
+
+class TestRankCheck:
+    @staticmethod
+    def counting_svd(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls, svd
+
+    def test_one_row_takes_its_norm(self, monkeypatch):
+        # A single row's one singular value is its norm: the check gives
+        # the SVD's value to rounding, raises where the SVD says so and
+        # leaves numpy's SVD alone.
+        calls, svd = self.counting_svd(monkeypatch)
+        rng = np.random.default_rng(5)
+        tol = ConservedSet.rank_tol
+        for dim in (2, 3, 5):
+            for scale in (1e-300, 1e-12, 3e-9, 1.0, 1e150):
+                row = scale * rng.standard_normal(dim)
+                want = svd(row[None, :], compute_uv=False)[-1]
+                assert math.isclose(math.hypot(*row.tolist()), want, rel_tol=4e-16)
+                cs = ConservedSet(psi=lambda x: np.array([0.0]),
+                                  grad_psi=lambda x, row=row: np.array([row]), d_psi=1)
+                if want > tol:
+                    cs.check_rank(np.zeros(dim))
+                    continue
+                with pytest.raises(EvaluationError) as info:
+                    cs.check_rank(np.zeros(dim))
+                assert str(info.value).endswith(f"(smallest singular value {want:.3e})")
+        assert calls == []
+
+    def test_zero_gradient_text(self, harmonic, monkeypatch):
+        # psi = (omega^2 x^2 + y^2)/2 has a zero gradient at the origin.
+        calls, _ = self.counting_svd(monkeypatch)
+        with pytest.raises(EvaluationError) as info:
+            harmonic.conserved_plus.check_rank(np.array([0.0, 0.0]))
+        assert str(info.value) == ("grad psi loses rank at x=array([0., 0.]) "
+                                   "(smallest singular value 0.000e+00)")
+        assert calls == []
+
+    def test_non_finite_row_takes_the_svd(self, monkeypatch):
+        # Its norm would be nan; the SVD decides, as it did for every row.
+        calls, _ = self.counting_svd(monkeypatch)
+        cs = ConservedSet(psi=lambda x: np.array([0.0]),
+                          grad_psi=lambda x: np.array([[math.nan, 1.0]]), d_psi=1)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            cs.check_rank(np.zeros(2))
+        assert len(calls) == 1
+
+    def test_two_invariants_take_the_svd(self, monkeypatch):
+        # A free rigid body conserves |m|^2/2 and sum m_i^2/(2 I_i); their
+        # gradients m and m/I are independent except where m lies along a
+        # principal axis.
+        inertia = np.array([1.0, 2.0, 3.0])
+        cs = ConservedSet(
+            psi=lambda m: np.array([0.5 * m @ m, 0.5 * m @ (m / inertia)]),
+            grad_psi=lambda m: np.array([m, m / inertia]), d_psi=2)
+        calls, _ = self.counting_svd(monkeypatch)
+        cs.check_rank(np.array([0.3, -0.5, 0.8]))
+        with pytest.raises(EvaluationError, match="grad psi loses rank"):
+            cs.check_rank(np.array([0.0, 0.0, 1.3]))
+        assert len(calls) == 2
