@@ -1,16 +1,21 @@
 """Event-driven transition stepping for piecewise-smooth systems.
 
 The driver takes uniform steps with the discrete vector field of the
-current region.  A field with a direct ``march`` (``dmm-elliptic``)
-advances a block of up to ``MARCH_BLOCK`` grid steps in one call; ``g``
-is evaluated once on the stacked block, and the leading rows that lie
-strictly on the segment's side are committed.  The step of the next
-row goes to the per-step code with that row as its leg and the block's
-``g`` as its value, so it is not solved again (a non-finite ``g`` is
-solved and evaluated again there, to raise).  The per-step code
-otherwise solves one leg per step: by a march over two times, by explicit
-evaluation, or by fixed-point iteration with a Newton fallback; such an
-iterated grid leg steps by exactly ``tau`` and starts from the quintic
+current region.  Grid legs of implicit fields step by exactly ``tau``;
+every other leg (explicit, in-step, completion) steps by the difference
+of its end times.  A field with a direct ``march`` (``dmm-elliptic``)
+advances a block of up to ``MARCH_BLOCK`` grid steps of ``tau`` in one
+call; ``g`` is evaluated once on the stacked block, and the leading
+rows that lie strictly on the segment's side are committed.  The step
+of the next row goes to the per-step code with that row as its leg and
+the block's ``g`` as its value, so it is not solved again (a non-finite
+``g`` is solved and evaluated again there, to raise).  The blocks of a
+segment that follows a crossing are aligned so that one ends two rows
+past the crossing step predicted by the last segment on the same side,
+which keeps the rows marched past a crossing and dropped to a few.  The
+per-step code otherwise solves one leg per step: by a one-step march,
+by explicit evaluation, or by fixed-point iteration with a Newton
+fallback; such an iterated grid leg starts from the quintic
 extrapolation of the last six samples when they all lie in the current
 region segment, which leaves about one iteration per leg at small
 steps.  The per-step code evaluates ``g`` once per step end and hands
@@ -76,8 +81,9 @@ MAX_CROSSINGS_PER_STEP = 4
 MAX_EVENTS = 100_000
 MAX_STEPS = 10_000_000
 
-# Grid steps per march of a field that has one.  Crossings on the
-# elliptic sweep are 25 to 400 steps apart at tau 0.04 to 0.0025.
+# Grid steps per march of a field that has one (the first march of a
+# segment may take fewer).  Crossings on the elliptic sweep are 25 to
+# 400 steps apart at tau 0.04 to 0.0025.
 MARCH_BLOCK = 64
 
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
@@ -151,22 +157,22 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
                ) -> tuple[Array, SolveStats]:
     """Solve x = x_a + h * dvf(t_a, x_a, t_b, x) for x, h = t_b - t_a by default.
 
-    Explicit fields evaluate directly, and implicit ones with a direct
-    ``march`` march over (t_a, t_b), both over t_b - t_a.  The others
-    iterate from ``guess``, else from the Euler predictor (O(h^2) off),
-    with a Newton fallback from the same start.  A grid leg passes ``h=tau``, which its
-    rounded end times miss by up to ulp(t), and the quintic extrapolation
-    of the six samples up to x_a, O(h^6) off (Hairer & Wanner, Solving
-    ODEs II, section IV.8).
+    Explicit fields evaluate directly over t_b - t_a.  Implicit ones
+    with a direct ``march`` take one march step of h; the others iterate
+    from ``guess``, else from the Euler predictor (O(h^2) off), with a
+    Newton fallback from the same start.  A grid leg passes ``h=tau``,
+    which its rounded end times miss by up to ulp(t), and an iterated
+    one the quintic extrapolation of the six samples up to x_a, O(h^6)
+    off (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if t_b == t_a:
         return x_a.copy(), _EXPLICIT
     if not dvf.is_implicit:
         return x_a + (t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
-    if dvf.march is not None:
-        return dvf.march((t_a, t_b), x_a)[0], _DIRECT
     if h is None:
         h = t_b - t_a
+    if dvf.march is not None:
+        return dvf.march(t_a, x_a, h, 1)[0], _DIRECT
 
     def step_map(x):
         return x_a + h * dvf.evaluate(t_a, x_a, t_b, x)
@@ -270,6 +276,21 @@ def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> Numeric
     """``exc`` again, with the index, start time and starting side of its step."""
     return type(exc)(f"step {k} at t={t!r}: {exc} (on the {side.value} side)",
                      k=k, t=t, side=side)
+
+
+def _first_block(segments: list[RegionSegment]) -> int:
+    """Rows of the first march of the segment just entered.
+
+    The last segment on the same side took L grid steps, the last of
+    them its crossing step; this segment's blocks of ``MARCH_BLOCK``
+    are aligned so that one ends two rows past the same step here, row
+    L - 1.  The first segment starts at x0, part way along, and predicts
+    nothing.
+    """
+    if len(segments) < 4 or segments[-3].side is not segments[-1].side:
+        return MARCH_BLOCK
+    steps = segments[-2].start_index - segments[-3].start_index
+    return (steps + 1) % MARCH_BLOCK + 1
 
 
 def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,
@@ -390,6 +411,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     dvf = scheme_plus if side is _PLUS else scheme_minus
     warm_from = 5 if dvf.is_implicit and dvf.march is None else n_steps
     band = surface.on_surface_tol
+    n_first = MARCH_BLOCK  # rows of the next march; see _first_block
     k = 0
     # An escaping orbit overflows to inf, which the finiteness checks
     # turn into a typed error; numpy need not warn about it first.
@@ -401,12 +423,12 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 # this side (a non-finite g does not); the step of the
                 # first other row, or the first step the march could not
                 # take, goes to the per-step loop below.  A next row with
-                # a finite g is that step's leg and g, as a march over
-                # its two times would give them; a row with a non-finite
-                # g is solved and evaluated again there, to raise.
-                n_block = min(MARCH_BLOCK, n_steps - k)
+                # a finite g is that step's leg and g, as a one-step march
+                # would give them; a row with a non-finite g is solved and
+                # evaluated again there, to raise.
+                n_block, n_first = min(n_first, n_steps - k), MARCH_BLOCK
                 try:
-                    rows = dvf.march(times[k:k + n_block + 1], x)
+                    rows = dvf.march(times.item(k), x, tau, n_block)
                     gv = np.asarray(surface.g(rows), dtype=float)
                     if gv.shape != (len(rows),):
                         raise EvaluationError(
@@ -449,6 +471,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                         if dvf.march is not None:
                             states[k + 1] = x = x_new
                             g_x = g_new
+                            n_first = _first_block(segments)
                             break
                 except NumericalError as exc:
                     raise _at_step(exc, k, t_a, side) from exc

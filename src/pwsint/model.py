@@ -156,11 +156,14 @@ class ConservedSet:
         """Full row rank of grad psi, via the smallest singular value.
 
         A single row's one singular value is its norm; more rows, or a
-        row that is not finite, take the SVD.
+        row whose norm overflows, take the SVD.  A grad psi with an entry
+        that is not finite raises ``EvaluationError``.
         """
         G = np.atleast_2d(np.asarray(self.grad_psi(x), dtype=float))
         smin = math.hypot(*G[0].tolist()) if len(G) == 1 else math.nan
         if not math.isfinite(smin):
+            if not np.all(np.isfinite(G)):
+                raise EvaluationError(f"grad psi is not finite at x={x!r}")
             smin = np.linalg.svd(G, compute_uv=False)[-1]
         if smin <= self.rank_tol:
             raise EvaluationError(

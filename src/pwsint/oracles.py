@@ -196,11 +196,34 @@ def _other_roots(b: float, c: float, d: float, e: float) -> tuple[list[float], c
     return [_polish(b, c, d, r) for r in real], None
 
 
+def _real_root(b: float, c: float, d: float) -> float:
+    """One real root of x^3 + b x^2 + c x + d in closed form.
+
+    Numerical Recipes, 3rd ed., section 5.6: with Q = (b^2 - 3c)/9 and
+    R = (2b^3 - 9bc + 27d)/54, three real roots (R^2 < Q^3) come from
+    the trigonometric form, and the one of largest magnitude is
+    returned, which is the simple root when two coincide; otherwise
+    Cardano's formula gives the only real root, or a root of a double
+    pair.  Its rounding error grows near a multiple root; ``_polish``
+    refines it.
+    """
+    q = (b * b - 3.0 * c) / 9.0
+    r = ((2.0 * b * b - 9.0 * c) * b + 27.0 * d) / 54.0
+    shift = b / 3.0
+    q3 = q * q * q
+    if r * r < q3:
+        theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q3))))
+        m = -2.0 * math.sqrt(q)
+        return max((m * math.cos((theta + k) / 3.0) - shift
+                    for k in (0.0, 2.0 * math.pi, -2.0 * math.pi)), key=abs)
+    big = -math.copysign((abs(r) + math.sqrt(r * r - q3)) ** (1.0 / 3.0), r)
+    return big + (q / big if big else 0.0) - shift
+
+
 def _cubic_roots(b: float, c: float, d: float) -> tuple[list[float], complex | None]:
     """Real roots of x^3 + b x^2 + c x + d ascending, and the upper root
     of a complex pair (or None)."""
-    roots = np.roots([1.0, b, c, d])
-    e = _polish(b, c, d, float(roots[np.argmin(np.abs(roots.imag))].real))
+    e = _polish(b, c, d, _real_root(b, c, d))
     real, z = _other_roots(b, c, d, e)
     return sorted([e] + real), z
 

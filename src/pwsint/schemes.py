@@ -6,17 +6,18 @@ x_b = x_a + (t_b - t_a) * f_tau(t_a, x_a, t_b, x_b).  Implicit schemes
 use x_b; explicit ones ignore it.  Keeping one call shape for both lets
 the transition engine stay scheme-agnostic.
 
-An implicit field may also carry ``march(times, x_a) -> states``, a
-direct solution of its own step equation over a grid: it takes one step
-per pair of consecutive ``times`` from ``x_a`` and returns the states at
-``times[1:]``, shape (m, dim).  It stops before the first step it cannot
-take, so m may be short of ``len(times) - 1``; only when that is its
-first step does it raise ``StepTooLarge``.  The engine solves every leg
-of such a field by a march over two times, and marches whole blocks of
-grid steps at once.  ``dmm-elliptic`` has one: its step equation
-reduces to one scalar quadratic, solved in a loop over Python floats.
-Fields without it (the midpoint rule, user fields) are solved by
-fixed-point iteration with a Newton fallback.
+An implicit field may also carry ``march(t_a, x_a, h, n) -> states``, a
+direct solution of its own step equation: it takes ``n`` steps of
+exactly ``h`` from ``x_a`` at ``t_a`` (backward for a negative ``h``)
+and returns the states after each, shape (m, dim).  It stops before the
+first step it cannot take, so m may be short of ``n``; only when that
+is its first step does it raise ``StepTooLarge``.  The engine marches
+whole blocks of grid steps of ``tau`` at once, and solves every other
+leg of such a field as a one-step march over the difference of its end
+times.  ``dmm-elliptic`` has one: its step equation reduces to one
+scalar quadratic, solved in a loop over Python floats.  Fields without
+it (the midpoint rule, user fields) are solved by fixed-point iteration
+with a Newton fallback.
 
 Conservative instances carry the conserved set they preserve exactly:
 the implicit midpoint field preserves quadratic invariants of linear
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .model import ConservedSet, VectorField
 
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
-MarchFunc = Callable[[Sequence[float], Array], Array]
+MarchFunc = Callable[[float, Array, float, int], Array]
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,11 @@ def elliptic_dmm_dvf(a: float,
     solves h^2 X^2 + (h^2 x - 1) X + (x + 2 h y + h^2 (x^2 + a)) = 0;
     the root that tends to x as h -> 0 is taken in cancellation-free
     form, and one application of the step map at (X, Y) gives x_b, as
-    the last iterate of a fixed-point solve would.  ``march`` takes
-    these steps over a grid of times, forward or backward, in one loop
-    over Python floats.  A step with no such root (h^2 x >= 1, or a
-    negative discriminant) ends the march, and raises StepTooLarge when
-    it is the first.
+    the last iterate of a fixed-point solve would.  ``march`` takes n
+    such steps of one h, forward or backward, in one loop over Python
+    floats, with h^2, 2h, 4h^2 and x^2 each computed once.  A step with
+    no such root (h^2 x >= 1, or a negative discriminant) ends the
+    march, and raises StepTooLarge when it is the first.
     """
 
     def evaluate(t_a, x_a, t_b, x_b):
@@ -95,23 +96,23 @@ def elliptic_dmm_dvf(a: float,
         xp, yp = x_b[0], x_b[1]
         return np.array([y + yp, x * x + x * xp + xp * xp + a])
 
-    def march(times, x_a):
-        ts = np.asarray(times, dtype=float).tolist()
+    def march(t_a, x_a, h, n):
         x, y = x_a.tolist()
+        hh, h2 = h * h, 2.0 * h
+        hh4 = 4.0 * hh
         flat = []
-        for t_a, t_b in zip(ts, ts[1:]):
-            h = t_b - t_a
-            hh = h * h
+        for _ in range(n):
+            xx = x * x
             b = hh * x - 1.0
-            c = x + 2.0 * h * y + hh * (x * x + a)
-            disc = b * b - 4.0 * hh * c
+            c = x + h2 * y + hh * (xx + a)
+            disc = b * b - hh4 * c
             if not (b < 0.0 and disc >= 0.0):
                 if flat:
                     break
                 raise StepTooLarge(f"the step equation over h={h!r} has no root near "
                                    f"the state, |x|={math.hypot(x, y):.6g}")
             xp = 2.0 * c / (-b + math.sqrt(disc))
-            yp = y + h * (x * x + x * xp + xp * xp + a)
+            yp = y + h * (xx + x * xp + xp * xp + a)
             # The step map at (xp, yp) returns yp itself as its second entry.
             x, y = x + h * (y + yp), yp
             flat += (x, y)

@@ -79,7 +79,10 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
 
     def make_conserved(a):
         def psi(x):
-            return np.array([x[..., 1] ** 2 - x[..., 0] ** 3 - a * x[..., 0]])
+            # As in g: scalars for one state, columns for a stack, and
+            # products that round the same on both.
+            xt = x.T
+            return np.array([xt[1] * xt[1] - xt[0] * xt[0] * xt[0] - a * xt[0]])
 
         def grad_psi(x):
             return np.array([[-3.0 * x[0] ** 2 - a, 2.0 * x[1]]])

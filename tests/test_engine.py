@@ -280,9 +280,10 @@ class TestIntegrate:
     ], ids=["rk2", "dmm-elliptic"])
     def test_explicit_and_direct_grid_legs_step_by_the_time_difference(
             self, request, system, schemes, x0, t0, T):
-        # Only iterated grid legs step by tau: a crossing-free span of an
-        # explicit and of a direct-solve run equals, bit for bit, a hand
-        # loop over the rounded grid times.
+        # Explicit grid legs step by the difference of their rounded end
+        # times, and direct-solve grid legs by exactly tau (the rounded time
+        # difference only sets where the leg ends): a crossing-free span
+        # equals, bit for bit, a hand loop of one-step legs.
         sys_ = request.getfixturevalue(system)
         minus, plus = request.getfixturevalue(schemes)
         traj = integrate(sys_, minus, plus, x0, t0, T, 1e-3)
@@ -296,7 +297,7 @@ class TestIntegrate:
             if dvf.march is None:
                 x = x + (t_b - t_a) * dvf.evaluate(t_a, x, t_b, x)
             else:
-                x = dvf.march((t_a, t_b), x)[0]
+                x = dvf.march(t_a, x, traj.tau, 1)[0]
             np.testing.assert_array_equal(traj.states[k + 1], x)
 
     def test_perturbation_p15_is_identical_to_unperturbed(self, harmonic, harmonic_dmm):
@@ -475,34 +476,51 @@ class TestDirectSolve:
 def one_row_march(dvf):
     """``dvf`` with a march that takes at most one step per call."""
     march = dvf.march
-    return dataclasses.replace(dvf, march=lambda times, x: march(times[:2], x))
+    return dataclasses.replace(dvf, march=lambda t_a, x, h, n: march(t_a, x, h, min(n, 1)))
 
 
-def block_rows(traj):
-    """Row of its march block at which each crossing step falls.
+def recording_march(dvf, calls):
+    """``dvf`` with a march that appends (t_a, h, n, rows returned) to ``calls``."""
+    march = dvf.march
 
-    A block starts on the step after the previous crossing step (or on
-    step 0) and every MARCH_BLOCK steps after it.
+    def recording(t_a, x, h, n):
+        rows = march(t_a, x, h, n)
+        calls.append((t_a, h, n, len(rows)))
+        return rows
+
+    return dataclasses.replace(dvf, march=recording)
+
+
+def block_rows(traj, calls):
+    """(row, rows) of the block in which each crossing step falls.
+
+    The blocks are the recorded marches by tau (every other leg steps by
+    the difference of its end times); a crossing step k falls in the
+    last of them that starts at or before k.
     """
-    rows, prev = [], -1
+    starts = [(round((t_a - traj.times[0]) / traj.tau), n) for t_a, h, n, _ in calls
+              if h == traj.tau]
+    out = []
     for k in sorted({ev.step_index for ev in traj.events}):
-        rows.append((k - prev - 1) % engine.MARCH_BLOCK)
-        prev = k
-    return rows
+        s, n = max(b for b in starts if b[0] <= k)
+        out.append((k - s, n))
+    return out
 
 
 class TestMarch:
     def test_blocks_change_nothing(self, elliptic, elliptic_dmm):
         # Runs marched in blocks equal, bit for bit, runs whose march
         # takes one step per call, crossings on the first and the last
-        # row of a block included.
+        # row of a block included (a first row only at tau=0.002).
         one_row = tuple(map(one_row_march, elliptic_dmm))
         rows = set()
         for perturbation in (None, (1.0, 2.0)):
-            for tau in (0.04, 0.02, 0.01, 0.005, 0.0025):
+            for tau in (0.04, 0.02, 0.01, 0.005, 0.0025, 0.002):
+                calls = []
+                recorded = tuple(recording_march(dvf, calls) for dvf in elliptic_dmm)
                 runs = [integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau,
                                   perturbation=perturbation)
-                        for schemes in (elliptic_dmm, one_row)]
+                        for schemes in (recorded, one_row)]
                 blocks, single = runs
                 assert np.array_equal(blocks.states, single.states)
                 assert np.array_equal(blocks.times, single.times)
@@ -513,8 +531,9 @@ class TestMarch:
                         assert np.array_equal(a, b) if f.name == "x_hat" else a == b, f.name
                 assert ([(s.start_index, s.side) for s in blocks.region_segments]
                         == [(s.start_index, s.side) for s in single.region_segments])
-                rows.update(block_rows(blocks))
-        assert {0, engine.MARCH_BLOCK - 1} <= rows
+                rows.update(block_rows(blocks, calls))
+        assert any(row == 0 for row, _ in rows)
+        assert any(row == n - 1 for row, n in rows)
 
     def test_fields_without_march_take_no_block(self, harmonic, harmonic_dmm, monkeypatch):
         # Only marching fields evaluate g on stacks of states.
@@ -555,29 +574,29 @@ def float_digest(values) -> str:
 ELLIPTIC_GOLDEN = {
     0.04: ([24, 40, 71, 87, 119, 135, 166, 182, 213, 230], "-+-+-+-+-+", (
         "d104880d3a14b35029469151a93dcc71ba755d329c53fd269a5081ef6431c6eb",
-        "0eba987db14c36ab6f47c20cc543f8fa5116e6b94ef69eaf55a0fe35a8a3d15e",
-        "8dc9c9439c6c2fe444da8be460537348b46fc249fc8a4d69cc30763b5f36eb2f",
-        "1eba9718d6a4136f4de7dbd858be47c6f806edab2a27def3141337549f43e6e5")),
+        "a21b1e0c5ccbbd7ae20bd35dbd1ef78244a1e3521cebbdd7a77002126a21c8b9",
+        "e7eed0cc2b8d34bbe4805b13c1db7664bf7c01102ef308a0db3b7997dfbd7c66",
+        "91015520910d64529125ff69bbc3ef9f7f6f42426c33faf15ea76656745c1358")),
     0.02: ([48, 80, 143, 175, 238, 270, 332, 364, 427, 459], "-+-+-+-+-+", (
         "81a8f3616207c3649feb04e931ea4dd10464dd403a65746672369694a5043734",
-        "d7725bac060888cfad138f59cc409ab1bdc34a4e611ba4c582d08631125a7d22",
-        "3bd6034c4a0f307b2d240c8bb75bb40f6a543843a4a044885c214b73cfb65e80",
-        "b042ab80e29326593ffb45ba2200cfe2982132978a424845d40db7cf77b71402")),
+        "35410f7d0f5179e0026046d58d2a1aadbdc79fd08653eb9cda6c146d820f39d7",
+        "ec69cefbfcb8c87057a8d9c02e2822217604e3838fbc2b6fce6b8f56792bae85",
+        "c982bca2aad3f1d60c0ef6bdab2202feb58bf28c8f07d83d773f272c3314210e")),
     0.01: ([97, 161, 286, 351, 476, 540, 665, 729, 854, 919], "-+-+-+-+-+", (
         "7f96e48a5b803c9c8fc61c17f1fa3d82c227ac47e0c85c491c332fa3f8fd4f4a",
-        "38cabeda2cef8c51939394e83875aa8ced9a1b2ffaa0a123ac26a48b416b4420",
-        "71ee7c8540e19f780559f8f9bd2e93f3e4e6070c6d4e4f2618c33b3f10f1fd89",
-        "c8657dbec3032c946e926b15bcb3fb901e39a51710463983f59c3b889da32c8b")),
+        "20c89942ee0a58e0a84dc72508bf793665e70ae311dbd9439b2299a9071795a6",
+        "5b7bb1d187b1358e841ede9142156f81271b83d5add3cb646b9f8fcb0bd529af",
+        "f5a371226987202dd0165e143785f7d66fcd142fb8451118de499f6fdb68fb76")),
     0.005: ([195, 323, 573, 702, 952, 1080, 1331, 1459, 1709, 1838], "-+-+-+-+-+", (
         "6a3438bb8248c73a566550fa28dfb75ff90d848679bdc805e4b66058a96eb55b",
-        "07af6cadd6b6c3cd337b9b54cd615b47abf3ba2263d090ba5f54e186210282bd",
-        "bee844b19c75f93357c73412413ac225011a4b01888bae0a7eb5dbc6d2a67803",
-        "e9889387dca53ade810bb8412cb20cc6acf4a773faf0e5bd28f977a8a5656bed")),
+        "350492d3e0a17db09806c1a230f3fdd89a4c86ed334c6da587a78b5224129ff2",
+        "180d85400ed756137a6410513bd4d20ed94622616fa5147ae1178600e6a5281a",
+        "5ef7875e1e5b8bcaccf37de0e088ca931093181a0da40a6acdcf74eeb079d7b6")),
     0.0025: ([390, 646, 1147, 1404, 1904, 2161, 2662, 2919, 3419, 3676], "-+-+-+-+-+", (
         "fee40f0b3194a355134aace187bb207364589e22786f5ecaba34de0c9401c727",
-        "1b648db7805e9f54fd92daec8d033a3736bd396ca4ecf6ca55964269112e6edf",
-        "20f94a829d915bf4cae7c16ce971886f756c2ea23ceab7598f16b59c7f28add4",
-        "368a27db54db9962eb4f6e597d9ec09c446a319861af70ac8cdfd4b6be71ae85")),
+        "57ba1cfb281a7ac6ee1fe3dd7d7b46e00a86222ee775bd7d80e5b25d4780f845",
+        "891ad87b6ba8406e9f5fcd937e87b016ab7425443e89ca5493b3290cb7e719a8",
+        "e8414e537189de57a31f9939d2bb4516ada799b90793eb3d27b4a41b90dbf097")),
 }
 
 
@@ -585,10 +604,10 @@ def counted_elliptic(elliptic):
     """The elliptic system and its dmm-elliptic fields, counting calls.
 
     Counts single-state g evaluations (``g``), g on stacks (``g_stack``),
-    marches over two times (``march2``) and over more (``block``), and
+    one-step marches (``leg``) and longer ones (``block``), and
     grad psi evaluations (``grad_psi``).
     """
-    counts = dict.fromkeys(("g", "g_stack", "march2", "block", "grad_psi"), 0)
+    counts = dict.fromkeys(("g", "g_stack", "leg", "block", "grad_psi"), 0)
 
     def counting_g(x):
         counts["g" if np.ndim(x) == 1 else "g_stack"] += 1
@@ -601,9 +620,9 @@ def counted_elliptic(elliptic):
         return dataclasses.replace(cs, grad_psi=grad_psi)
 
     def counting_march(dvf):
-        def march(times, x):
-            counts["march2" if len(times) == 2 else "block"] += 1
-            return dvf.march(times, x)
+        def march(t_a, x, h, n):
+            counts["leg" if n == 1 else "block"] += 1
+            return dvf.march(t_a, x, h, n)
         return dataclasses.replace(dvf, march=march)
 
     sys_ = dataclasses.replace(
@@ -633,7 +652,7 @@ class TestCrossingCost:
         # the block, the localization takes g at both step ends from its
         # caller, and the classification reuses the event's g.  What is
         # left per crossing: g once per leg solved (4.3 in-step legs and
-        # the completion leg, all marches over two times), and grad psi
+        # the completion leg, all one-step marches), and grad psi
         # once, for the rank check on the side entered, by its norm.
         sys_, schemes, counts = counted_elliptic(elliptic)
         svd_calls = []
@@ -648,10 +667,25 @@ class TestCrossingCost:
         n = len(traj.events)
         assert n == 10
         # Beyond the crossings: g at x0, and the rank check at x0.
-        assert counts["g"] - 1 == counts["march2"] == 53
+        assert counts["g"] - 1 == counts["leg"] == 53
         assert counts["grad_psi"] - 1 == n
-        assert counts["g_stack"] == counts["block"] == 19
+        assert counts["g_stack"] == counts["block"] == 21
         assert svd_calls == []
+
+    def test_an_elliptic_sweep_marches_few_rows_past_its_crossings(self, elliptic,
+                                                                   elliptic_dmm):
+        # A ratchet on the rows that blocks march past a crossing and
+        # drop: the five sweep runs need 7,750 grid steps; blocks of 64
+        # from each crossing marched 9,043 rows, and blocks aligned to
+        # the predicted crossing march 8,152.
+        steps = rows = 0
+        for tau in sorted(ELLIPTIC_GOLDEN, reverse=True):
+            calls = []
+            schemes = (recording_march(dvf, calls) for dvf in elliptic_dmm)
+            steps += len(integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau).times) - 1
+            rows += sum(m for _, h, _, m in calls if h == tau)
+        assert steps == 7750
+        assert rows <= 8152
 
 
 def euler_predictor(leg):

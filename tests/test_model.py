@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import pathlib
@@ -358,14 +357,20 @@ class TestRankCheck:
                                    "(smallest singular value 0.000e+00)")
         assert calls == []
 
-    def test_non_finite_row_takes_the_svd(self, monkeypatch):
-        # Its norm would be nan; the SVD decides, as it did for every row.
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_row_raises(self, monkeypatch, bad):
+        # An infinite entry made the SVD return nan, which passed the
+        # check silently, and a nan entry made it raise numpy's untyped
+        # LinAlgError; both now raise EvaluationError naming x, with no
+        # SVD, while a finite row still takes its norm.
         calls, _ = self.counting_svd(monkeypatch)
         cs = ConservedSet(psi=lambda x: np.array([0.0]),
-                          grad_psi=lambda x: np.array([[math.nan, 1.0]]), d_psi=1)
-        with contextlib.suppress(np.linalg.LinAlgError):
-            cs.check_rank(np.zeros(2))
-        assert len(calls) == 1
+                          grad_psi=lambda x: np.array([[x[0], 1.0]]), d_psi=1)
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"grad psi is not finite at x={np.array([bad, 0.0])!r}")):
+            cs.check_rank(np.array([bad, 0.0]))
+        cs.check_rank(np.array([2.0, 0.0]))
+        assert calls == []
 
     def test_two_invariants_take_the_svd(self, monkeypatch):
         # A free rigid body conserves |m|^2/2 and sum m_i^2/(2 I_i); their
@@ -380,3 +385,22 @@ class TestRankCheck:
         with pytest.raises(EvaluationError, match="grad psi loses rank"):
             cs.check_rank(np.array([0.0, 0.0, 1.3]))
         assert len(calls) == 2
+
+
+class TestEllipticPsi:
+    @pytest.mark.parametrize("side", [RegionSide.MINUS, RegionSide.PLUS])
+    def test_stack_single_and_float_psi_agree_bit_for_bit(self, elliptic, side):
+        # psi = y^2 - x^3 - a x as products of Python floats: on a stack,
+        # on each state alone and in plain float arithmetic, with no
+        # array power whose rounding could depend on numpy's SIMD paths.
+        cs = elliptic.conserved(side)
+        a = elliptic.params["a_minus" if side is RegionSide.MINUS else "a_plus"]
+        rng = np.random.default_rng(17)
+        states = rng.uniform(-2.0, 2.0, size=(500, 2)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        stacked = cs.stack_values(states)
+        assert stacked.shape == (1, len(states))
+        for i, x in enumerate(states):
+            xf, yf = x.tolist()
+            want = yf * yf - xf * xf * xf - a * xf
+            single = cs.values(x)
+            assert single.tolist() == [want] == [stacked.item(0, i)]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pwsint import (
     reference_trajectory,
 )
 from pwsint.errors import ConfigError, FiniteTimeBlowUp, InvalidInitialCondition
-from pwsint.oracles import _arc, carlson_rf
+from pwsint.oracles import _arc, _cubic_roots, _real_root, carlson_rf
 
 SQRT2 = math.sqrt(2.0)
 PI4 = math.pi / 4.0
@@ -175,6 +176,98 @@ def half_time(a, c, lo, hi, alg):
     val, _ = integrate.quad(f, lo, hi, weight="alg", wvar=wvar,
                             epsabs=1e-15, epsrel=1e-14, limit=200)
     return val
+
+
+def exact_roots(b, c, d):
+    """Roots of x^3 + b x^2 + c x + d from np.roots, finished exactly.
+
+    Each real root of np.roots is refined by Newton's method in 40-digit
+    decimal arithmetic on the exact coefficients, and a complex pair is
+    taken from the quadratic left after dividing out the real root;
+    np.roots alone is up to about 20 ulp off on these cubics.  Returns
+    the real roots ascending and the upper complex root, or None.
+    """
+    roots = np.roots([1.0, b, c, d])
+    real = sorted(float(r.real) for r in roots if r.imag == 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        B, C, D = map(Decimal, (b, c, d))
+        out = []
+        for x0 in real:
+            x = Decimal(x0)
+            for _ in range(8):
+                x -= (((x + B) * x + C) * x + D) / ((3 * x + 2 * B) * x + C)
+            out.append(x)
+        z = None
+        if len(out) == 1:
+            Bq = B + out[0]
+            disc = Bq * Bq - 4 * (C + out[0] * Bq)
+            z = complex(float(-Bq / 2), float((-disc).sqrt() / 2))
+        return [float(x) for x in out], z
+
+
+class TestCubicRoots:
+    def test_closed_form_matches_np_roots(self):
+        # 200 seeded well-separated cubics of each kind: three real roots
+        # at least 1 apart, and one real root at least 1 from the real
+        # part of a complex pair whose imaginary part is at least 1.
+        # Every root is within 4 ulp of the largest root magnitude.
+        rng = np.random.default_rng(11)
+        cubics = {1: [], 3: []}
+        while min(map(len, cubics.values())) < 200:
+            r = np.sort(rng.uniform(-3.0, 3.0, 3))
+            if np.diff(r).min() >= 1.0:
+                cubics[3].append((-r.sum(), r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -r.prod()))
+            e, p, q = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(1.0, 3.0)
+            if abs(e - p) >= 1.0:
+                cubics[1].append((-(e + 2.0 * p), 2.0 * e * p + p * p + q * q, -e * (p * p + q * q)))
+        for n_real, coeffs in ((n, c) for n, cs in cubics.items() for c in cs[:200]):
+            b, c, d = map(float, coeffs)
+            real, z = _cubic_roots(b, c, d)
+            want_real, want_z = exact_roots(b, c, d)
+            assert len(real) == len(want_real) == n_real
+            assert (z is None) == (want_z is None) == (n_real == 3)
+            ulp = math.ulp(max(abs(v) for v in want_real + ([abs(want_z)] if want_z else [])))
+            assert max(abs(x - w) for x, w in zip(real, want_real)) <= 4.0 * ulp, coeffs
+            if z is not None:
+                assert abs(z - want_z) <= 4.0 * ulp, coeffs
+
+    @pytest.mark.parametrize("b, c, d, want", [
+        (0.0, -3.0, 2.0, [-2.0, 1.0, 1.0]),      # (x + 2)(x - 1)^2
+        (0.0, -12.0, -16.0, [-2.0, -2.0, 4.0]),  # (x - 4)(x + 2)^2
+        (0.0, 0.0, 0.0, [0.0, 0.0, 0.0]),        # the cusp x^3
+    ])
+    def test_double_and_triple_roots_are_exact(self, b, c, d, want):
+        # The simple root has the largest magnitude; dividing it out
+        # leaves a perfect square, whose double root comes out exactly.
+        assert _cubic_roots(b, c, d) == (want, None)
+
+    def test_a_double_root_cubic_gives_its_simple_root_first(self):
+        # (x - h)^2 (x + 2h) with rounded coefficients: rounding puts
+        # about two in five in the trigonometric branch (R^2 < Q^3),
+        # which must return the root of largest magnitude, the simple
+        # root -2h, so that dividing it out leaves the near square.
+        rng = np.random.default_rng(13)
+        trig = 0
+        for h in rng.uniform(-3.0, 3.0, 400).tolist():
+            c, d = -3.0 * h * h, 2.0 * h ** 3
+            q, r = -3.0 * c / 9.0, 27.0 * d / 54.0
+            trig += r * r < q * q * q
+            assert abs(_real_root(0.0, c, d) + 2.0 * h) <= 8.0 * math.ulp(2.0 * h), h
+        assert trig >= 100
+
+    def test_oracle_never_calls_np_roots(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        for a_plus, x0, T, n_events in [(-2.0, (-1.0, -1.0), 10.0, 10),
+                                        (-3.0, (-2.0, 0.0), 2.0, 1),
+                                        (-3.0, (2.0, -2.0), 2.0, 0),
+                                        (0.0, (4.0, -8.0), 0.69, 1)]:
+            oracle, events = elliptic_oracle(elliptic_system(a_plus=a_plus), x0, 0.0, T)
+            assert len(events) == n_events
+            assert np.all(np.isfinite(oracle(T)))
 
 
 class TestBranchTimes:

@@ -132,34 +132,45 @@ class TestEllipticDmm:
     ])
     def test_direct_solve_without_root_raises(self, x_a, h):
         with pytest.raises(StepTooLarge, match="no root near the state"):
-            elliptic_dmm_dvf(-2.0).march((0.0, h), np.array(x_a))
+            elliptic_dmm_dvf(-2.0).march(0.0, np.array(x_a), h, 1)
 
+    @pytest.mark.parametrize("x_a, h, n", [
+        ((-1.0, -1.0), 0.01, 64),
+        ((0.3, 1.2), 0.04, 7),
+        ((-1.0, -1.0), -0.0025, 100),
+    ])
+    def test_n_steps_equal_n_one_step_calls(self, x_a, h, n):
+        # One march of n steps of h is n one-step marches, bit for bit.
+        dvf = elliptic_dmm_dvf(-3.0)
+        rows = dvf.march(0.0, np.array(x_a), h, n)
+        assert rows.shape == (n, 2)
+        x = np.array(x_a)
+        for i, row in enumerate(rows):
+            x = dvf.march(i * h, x, h, 1)[0]
+            np.testing.assert_array_equal(row, x)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_march_stops_before_the_first_step_without_root(self, k):
-        # Steps of 0.01 from x ~ 1, then one of 10: h^2 x >= 1 there.
+        # The orbit from (2, 1) escapes at t = 0.8087: the step of 1e-3
+        # from t = 0.806, at |x| ~ 1e8, has no root.  A march that reaches
+        # that state stops there, and only a march that starts there raises.
         dvf = elliptic_dmm_dvf(-2.0)
-        times = [0.01 * i for i in range(k + 1)] + [10.0, 10.01]
-        x_a = np.array([1.0, 0.5])
-        rows = dvf.march(times, x_a)
-        assert rows.shape == (k, 2)
-        # Each row is the one-step march from the row before it.
-        x = x_a
-        for i, row in enumerate(rows):
-            x = dvf.march(times[i:i + 2], x)[0]
-            np.testing.assert_array_equal(row, x)
-        with pytest.raises(StepTooLarge, match="no root near the state"):
-            dvf.march(times[k:], rows[-1])
+        rows = dvf.march(0.0, np.array([2.0, 1.0]), 1e-3, 1000)
+        assert rows.shape == (806, 2)
+        tail = dvf.march(0.0, rows[-k - 1], 1e-3, 10)
+        assert tail.shape == (k, 2)
+        np.testing.assert_array_equal(tail, rows[-k:])
+        with pytest.raises(StepTooLarge, match=r"no root near the state, \|x\|=9\.51036e\+07"):
+            dvf.march(0.0, tail[-1], 1e-3, 10)
 
     def test_march_backward_retraces_the_forward_march(self):
-        # Symmetric in its endpoints: marching back over the same grid
-        # returns the forward states, and psi is conserved both ways.
+        # Symmetric in its endpoints: marching back with -h returns the
+        # forward states, and psi is conserved both ways.
         a = -3.0
         dvf = elliptic_dmm_dvf(a)
-        times = 0.01 * np.arange(51)
         x_a = np.array([-1.0, -1.0])
-        forward = dvf.march(times, x_a)
-        backward = dvf.march(times[::-1], forward[-1])
+        forward = dvf.march(0.0, x_a, 0.01, 50)
+        backward = dvf.march(0.5, forward[-1], -0.01, 50)
         assert forward.shape == backward.shape == (50, 2)
         np.testing.assert_allclose(backward, np.vstack([forward[-2::-1], x_a]),
                                    rtol=0.0, atol=1e-13)
