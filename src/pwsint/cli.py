@@ -191,7 +191,6 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
     sys_ = config.system
     d = sys_.dim
     d_psi = sys_.conserved_minus.d_psi
-    psi_err = conserved_error_series(traj, sys_)
 
     traj_path = f"{config.out}_trajectory.csv"
     header = (["step", "t"] + [f"x_{i+1}" for i in range(d)] + ["g", "side"]
@@ -201,19 +200,20 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
                           + ["%.17g"] * (d_psi + 1)) + "\n"
 
     def traj_rows():
-        # g and psi are evaluated on chunks of stacked states; each chunk
-        # becomes Python scalars at once, bounded in size so that memory
-        # stays flat however long a segment is.
+        # g and psi are evaluated once on chunks of stacked states, and
+        # psi_error comes from the same psi; each chunk becomes Python
+        # scalars at once, bounded in size so that memory stays flat
+        # however long a segment is.
         for seg, lo, hi in traj.segment_blocks():
             conserved = sys_.conserved(seg.side)
             for a in range(lo, hi, _WRITE_CHUNK):
                 b = min(a + _WRITE_CHUNK, hi)
                 block = traj.states[a:b]
+                psi = conserved.stack_values(block)
+                psi_err = np.max(np.abs(psi - seg.psi_ref[:, None]), axis=0)
                 yield from zip(range(a, b), traj.times[a:b].tolist(), *block.T.tolist(),
                                sys_.surface.stack_values(block).tolist(),
-                               repeat(seg.side.value),
-                               *conserved.stack_values(block).tolist(),
-                               psi_err[a:b].tolist())
+                               repeat(seg.side.value), *psi.tolist(), psi_err.tolist())
 
     write_csv(traj_path, header, traj_rows(), row_format)
 

@@ -1,35 +1,34 @@
 """Event-driven transition stepping for piecewise-smooth systems.
 
 The driver takes uniform steps with the discrete vector field of the
-current region.  Grid legs of implicit fields step by exactly ``tau``;
-every other leg (explicit, in-step, completion) steps by the difference
-of its end times.  A field with a direct ``march`` (``dmm-elliptic``)
-advances a block of up to ``MARCH_BLOCK`` grid steps of ``tau`` in one
-call; ``g`` is evaluated once on the stacked block, and the leading
-rows that lie strictly on the segment's side are committed.  The step
-of the next row goes to the per-step code with that row as its leg and
-the block's ``g`` as its value, so it is not solved again (a non-finite
-``g`` is solved and evaluated again there, to raise).  The blocks of a
-segment that follows a crossing are aligned so that one ends two rows
-past the crossing step predicted by the last segment on the same side,
-which keeps the rows marched past a crossing and dropped to a few.  The
-per-step code otherwise solves one leg per step: by a one-step march,
+current region, in one loop over the grid.  Grid legs of implicit fields
+step by exactly ``tau``; every other leg (explicit, in-step, completion)
+steps by the difference of its end times.  A field with a direct
+``march`` (``dmm-elliptic``) marches a block of up to ``MARCH_BLOCK``
+grid steps in one call, evaluates ``g`` once on the stacked rows and
+commits in bulk the leading rows that lie strictly on its side.  The
+first block of a segment that follows a crossing is sized so that a
+later one ends two rows past the crossing step predicted by the last
+segment on the same side, which keeps the rows marched past a crossing
+and dropped to a few.  Every other step goes through one per-step body:
+a leg, its end's side, the crossing code when that side changed, and
+one commit of the end state and its ``g``.  A block's crossing or
+landing step takes the block's next row and ``g`` as its leg; other
+legs are solved, by a one-step march (a step the march could not take,
+or a row whose ``g`` is not finite, is solved again so that it raises),
 by explicit evaluation, or by fixed-point iteration with a Newton
-fallback; such an iterated grid leg starts from the quintic
-extrapolation of the last six samples when they all lie in the current
-region segment, which leaves about one iteration per leg at small
-steps.  The per-step code evaluates ``g`` once per step end and hands
-that value on as well.  When the sign of the switching function changes
-across the grid leg, the crossing is localized by an outer bracketed
-root solve in time wrapped around the inner step solve; it takes ``g``
-at both step ends from its caller and evaluates ``g`` once per in-step
-leg it solves.  The crossing is classified with the event's own ``g``
-residual, the step is completed from the crossing point with the other
-region's field, and the event is recorded; ``g`` at the completion
-leg's end decides its side and carries on to the next step.  Multiple
-crossings inside one step are handled by re-running detection on the
-completion leg, up to a small cap.  A numerical failure inside a step
-is re-raised with the step's index, start time and starting side.
+fallback, an iterated grid leg starting from the quintic extrapolation
+of the last six samples when they lie in the current region segment.
+``g`` is evaluated once per step end and handed on.  A sign change of
+``g`` across the leg is localized by an outer bracketed root solve in
+time around the inner step solve, which evaluates ``g`` once per
+in-step leg it solves.  The crossing is classified with the event's own
+``g`` residual, the step is completed from the crossing point with the
+other region's field, and the event is recorded; ``g`` at the
+completion leg's end decides its side.  Several crossings inside one
+step are handled by re-running detection on the completion leg, up to a
+small cap.  A numerical failure inside a step is re-raised with the
+step's index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -82,8 +81,9 @@ MAX_EVENTS = 100_000
 MAX_STEPS = 10_000_000
 
 # Grid steps per march of a field that has one (the first march of a
-# segment may take fewer).  Crossings on the elliptic sweep are 25 to
-# 400 steps apart at tau 0.04 to 0.0025.
+# segment that follows a crossing takes 2 to 65, see _first_block).
+# Crossings on the elliptic sweep are 25 to 400 steps apart at tau 0.04
+# to 0.0025.
 MARCH_BLOCK = 64
 
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
@@ -279,18 +279,19 @@ def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> Numeric
 
 
 def _first_block(segments: list[RegionSegment]) -> int:
-    """Rows of the first march of the segment just entered.
+    """Rows of the first march of the segment just entered: 2 to 65.
 
     The last segment on the same side took L grid steps, the last of
     them its crossing step; this segment's blocks of ``MARCH_BLOCK``
     are aligned so that one ends two rows past the same step here, row
-    L - 1.  The first segment starts at x0, part way along, and predicts
-    nothing.
+    L - 1.  A first block of one row takes ``MARCH_BLOCK + 1`` instead,
+    which ends where the two would have.  The first segment starts at
+    x0, part way along, and predicts nothing.
     """
     if len(segments) < 4 or segments[-3].side is not segments[-1].side:
         return MARCH_BLOCK
     steps = segments[-2].start_index - segments[-3].start_index
-    return (steps + 1) % MARCH_BLOCK + 1
+    return steps % MARCH_BLOCK + 2
 
 
 def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,
@@ -409,24 +410,22 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     # iterates (explicit and marched legs never pay for the start), and
     # x_{k-5}..x_k lie in its segment.  Both change only at crossings.
     dvf = scheme_plus if side is _PLUS else scheme_minus
-    warm_from = 5 if dvf.is_implicit and dvf.march is None else n_steps
+    marching = dvf.march is not None
+    warm_from = 5 if dvf.is_implicit and not marching else n_steps
     band = surface.on_surface_tol
-    n_first = MARCH_BLOCK  # rows of the next march; see _first_block
     k = 0
     # An escaping orbit overflows to inf, which the finiteness checks
     # turn into a typed error; numpy need not warn about it first.
     with np.errstate(over="ignore"):
         while k < n_steps:
-            stop, first_leg = n_steps, None
-            if dvf.march is not None:
-                # Commit the leading marched rows that lie strictly on
-                # this side (a non-finite g does not); the step of the
-                # first other row, or the first step the march could not
-                # take, goes to the per-step loop below.  A next row with
-                # a finite g is that step's leg and g, as a one-step march
-                # would give them; a row with a non-finite g is solved and
-                # evaluated again there, to raise.
-                n_block, n_first = min(n_first, n_steps - k), MARCH_BLOCK
+            leg = None
+            if marching:
+                # Commit in bulk the leading rows strictly on this side
+                # (a non-finite g is not).  The next row and its finite g
+                # are the leg of the step below; a non-finite g, or a step
+                # the march could not take, is solved there again, to raise.
+                n_block = min(_first_block(segments) if k == segments[-1].start_index
+                              else MARCH_BLOCK, n_steps - k)
                 try:
                     rows = dvf.march(times.item(k), x, tau, n_block)
                     gv = np.asarray(surface.g(rows), dtype=float)
@@ -448,35 +447,29 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 if n == n_block:
                     continue
                 if n < len(rows) and math.isfinite(gv.item(n)):
-                    first_leg = rows[n], _DIRECT, gv.item(n)
-                stop = k + 1
-            for k in range(k, stop):
-                # Python floats from times.item (not a tolist() grid) and the
-                # carried state keep numpy scalars and row views out of the
-                # step.  After a crossing, the side and g come from advance.
-                t_a, t_b = times.item(k), times.item(k + 1)
-                try:
-                    if first_leg is None:
-                        x_new, stats = _solve_leg(
-                            dvf, t_a, x, t_b, tau,
-                            _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
-                        g_new = surface.value(x_new)
-                    else:
-                        x_new, stats, g_new = first_leg
-                    if side_of(surface, x_new, g_new) is not side:
-                        x_new, side, g_new = advance(dvf, side, t_a, x, t_b, k, x_new, stats,
-                                                     g_x, g_new)
-                        dvf = scheme_plus if side is _PLUS else scheme_minus
-                        warm_from = k + 6 if dvf.is_implicit and dvf.march is None else n_steps
-                        if dvf.march is not None:
-                            states[k + 1] = x = x_new
-                            g_x = g_new
-                            n_first = _first_block(segments)
-                            break
-                except NumericalError as exc:
-                    raise _at_step(exc, k, t_a, side) from exc
-                states[k + 1] = x = x_new
-                g_x = g_new
+                    leg = rows[n], _DIRECT, gv.item(n)
+            # Python floats from times.item (not a tolist() grid) and the
+            # carried state keep numpy scalars and row views out of the
+            # step.  After a crossing, the side and g come from advance.
+            t_a, t_b = times.item(k), times.item(k + 1)
+            try:
+                if leg is None:
+                    x_new, stats = _solve_leg(
+                        dvf, t_a, x, t_b, tau,
+                        _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                    g_new = surface.value(x_new)
+                else:
+                    x_new, stats, g_new = leg
+                if side_of(surface, x_new, g_new) is not side:
+                    x_new, side, g_new = advance(dvf, side, t_a, x, t_b, k, x_new, stats,
+                                                 g_x, g_new)
+                    dvf = scheme_plus if side is _PLUS else scheme_minus
+                    marching = dvf.march is not None
+                    warm_from = k + 6 if dvf.is_implicit and not marching else n_steps
+            except NumericalError as exc:
+                raise _at_step(exc, k, t_a, side) from exc
+            states[k + 1] = x = x_new
+            g_x = g_new
             k += 1
     return Trajectory(times=times, states=states, tau=tau,
                       events=events, region_segments=segments)

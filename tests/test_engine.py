@@ -558,6 +558,57 @@ class TestMarch:
             integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 1.0, 1e-2)
         assert info.value.k == 0
 
+    @pytest.mark.parametrize("names", [("dmm-elliptic", "dmm-midpoint"),
+                                       ("rk4", "dmm-elliptic")])
+    def test_marching_and_per_step_fields_hand_over(self, elliptic, names):
+        # A marching field on one side and one without a march on the
+        # other: every crossing hands the run from blocks to single steps
+        # and back, and the blocks still change nothing.
+        schemes = tuple(resolve_scheme(name, elliptic, side)
+                        for name, side in zip(names, (RegionSide.MINUS, RegionSide.PLUS)))
+        one_row = tuple(dvf if dvf.march is None else one_row_march(dvf) for dvf in schemes)
+        _, oracle_events = elliptic_oracle(elliptic, [-1.0, -1.0], 0.0, 10.0)
+        for tau in (0.04, 0.01, 0.0025):
+            blocks, single = (integrate(elliptic, *pair, [-1.0, -1.0], 0.0, 10.0, tau)
+                              for pair in (schemes, one_row))
+            assert_same_run(blocks, single)
+            assert len(blocks.events) == len(oracle_events) == 10
+
+    def test_non_finite_g_inside_a_block_raises_at_its_step(self, elliptic, elliptic_dmm):
+        # g is nan beyond |x|^2 = 101 on the escaping orbit from (2, 1):
+        # the block from step 320 holds the first such row, which is
+        # solved again on its own and raises there.
+        circle = elliptic.surface.g
+
+        def g(x):
+            gv = circle(x)
+            return np.where(gv > 100.0, np.nan, gv)
+
+        sys_ = dataclasses.replace(elliptic, surface=dataclasses.replace(elliptic.surface, g=g))
+        calls = []
+        schemes = (recording_march(dvf, calls) for dvf in elliptic_dmm)
+        with pytest.raises(EvaluationError, match="g\\(x\\) is not finite") as info:
+            integrate(sys_, *schemes, [2.0, 1.0], 0.0, 2.0, 1e-3)
+        assert (info.value.k, info.value.t) == (332, 0.332)
+        assert info.value.side is RegionSide.PLUS
+        assert str(info.value).startswith("step 332 at t=0.332: ")
+        (t_block, _, n, rows), (t_leg, _, n_leg, _) = calls[-2:]
+        assert round(t_block / 1e-3) == 320 and rows == n > 332 - 320 + 1
+        assert (t_leg, n_leg) == (0.332, 1)
+
+
+def assert_same_run(a, b):
+    """The trajectories ``a`` and ``b`` are equal bit for bit."""
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.times, b.times)
+    assert len(a.events) == len(b.events)
+    for ev_a, ev_b in zip(a.events, b.events):
+        for f in dataclasses.fields(ev_a):
+            x, y = getattr(ev_a, f.name), getattr(ev_b, f.name)
+            assert np.array_equal(x, y) if f.name == "x_hat" else x == y, f.name
+    assert ([(s.start_index, s.side) for s in a.region_segments]
+            == [(s.start_index, s.side) for s in b.region_segments])
+
 
 def float_digest(values) -> str:
     """sha256 of the comma-joined ``float.hex`` forms of the values."""
@@ -686,6 +737,18 @@ class TestCrossingCost:
             rows += sum(m for _, h, _, m in calls if h == tau)
         assert steps == 7750
         assert rows <= 8152
+
+    def test_no_sweep_block_marches_one_row(self, elliptic, elliptic_dmm):
+        # A first block that would take one row takes MARCH_BLOCK + 1,
+        # so no march call pays for a single grid step (the sweep at
+        # tau=0.02 predicts three such blocks).
+        for tau in sorted(ELLIPTIC_GOLDEN, reverse=True):
+            calls = []
+            schemes = (recording_march(dvf, calls) for dvf in elliptic_dmm)
+            integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau)
+            blocks = [n for _, h, n, _ in calls if h == tau]
+            assert min(blocks) > 1
+            assert max(blocks) <= engine.MARCH_BLOCK + 1
 
 
 def euler_predictor(leg):
