@@ -1,34 +1,34 @@
 """Event-driven transition stepping for piecewise-smooth systems.
 
 The driver takes uniform steps with the discrete vector field of the
-current region, in one loop over the grid.  Grid legs of implicit fields
-step by exactly ``tau``; every other leg (explicit, in-step, completion)
-steps by the difference of its end times.  A field with a direct
-``march`` (``dmm-elliptic``) marches a block of up to ``MARCH_BLOCK``
-grid steps in one call, evaluates ``g`` once on the stacked rows and
-commits in bulk the leading rows that lie strictly on its side.  The
-first block of a segment that follows a crossing is sized so that a
-later one ends two rows past the crossing step predicted by the last
-segment on the same side, which keeps the rows marched past a crossing
-and dropped to a few.  Every other step goes through one per-step body:
-a leg, its end's side, the crossing code when that side changed, and
-one commit of the end state and its ``g``.  A block's crossing or
-landing step takes the block's next row and ``g`` as its leg; other
-legs are solved, by a one-step march (a step the march could not take,
-or a row whose ``g`` is not finite, is solved again so that it raises),
-by explicit evaluation, or by fixed-point iteration with a Newton
-fallback, an iterated grid leg starting from the quintic extrapolation
-of the last six samples when they lie in the current region segment.
-``g`` is evaluated once per step end and handed on.  A sign change of
-``g`` across the leg is localized by an outer bracketed root solve in
-time around the inner step solve, which evaluates ``g`` once per
-in-step leg it solves.  The crossing is classified with the event's own
-``g`` residual, the step is completed from the crossing point with the
-other region's field, and the event is recorded; ``g`` at the
-completion leg's end decides its side.  Several crossings inside one
-step are handled by re-running detection on the completion leg, up to a
-small cap.  A numerical failure inside a step is re-raised with the
-step's index, start time and starting side.
+current region, in one loop over the grid whose every pass solves one
+leg: a step's grid leg, or, after the step has crossed, its completion
+leg from the crossing point to the step end with the other region's
+field.  Grid legs of implicit fields step by exactly ``tau``; every
+other leg (explicit, in-step, completion) steps by the difference of
+its end times.  A field with a direct ``march`` (``dmm-elliptic``)
+marches a block of up to ``MARCH_BLOCK`` grid steps in one call,
+evaluates ``g`` once on the stacked rows and commits in bulk the
+leading rows that lie strictly on its side.  The first block of a
+segment that follows a crossing is sized so that a later one ends two
+rows past the crossing step predicted by the last segment on the same
+side, which keeps the rows marched past a crossing and dropped to a
+few.  A block's crossing or landing step takes the block's next row
+and ``g`` as its grid leg; other legs are solved, by a one-step march
+(a step the march could not take, or a row whose ``g`` is not finite,
+is solved again so that it raises), by explicit evaluation, or by
+fixed-point iteration with a Newton fallback, an iterated grid leg
+starting from the quintic extrapolation of the last six samples when
+they lie in the current region segment.  ``g`` is evaluated once per
+leg end and handed on.  A leg that ends off its side crosses: the sign
+change of ``g`` is localized by an outer bracketed root solve in time
+around the inner step solve, which evaluates ``g`` once per in-step
+leg it solves, and the crossing is classified with the event's own
+``g`` residual and recorded.  The completion leg starts on the
+surface, whatever that residual, and may cross again, up to a small
+cap per step.  Each step ends in one commit; a numerical failure
+inside it is re-raised with the step's index, start time and starting
+side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -200,7 +200,9 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     ``end_leg=(t_b, x_b, stats)`` is the leg the caller already solved
     from (t_k, x_k) to the step end, with its solve statistics; it is
     not solved again.  ``g_a`` and ``g_b`` are g at x_k and x_b, which
-    the caller has; they are not evaluated again.  Runs a bracketed
+    the caller has; they are not evaluated again.  A caller that knows
+    x_k to lie on the surface, as at the start of a completion leg, may
+    pass ``g_a=0.0`` whatever the g there.  Runs a bracketed
     scalar root solve on phi(t) = g(xhat(t)), where xhat(t) is the inner
     step solution up to time t; the bracket comes from the sign change
     between x_k and x_b, so convergence is guaranteed.  Each in-step
@@ -345,131 +347,124 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
 
     events: list[CrossingEvent] = []
     segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
-
-    def advance(dvf: DiscreteVectorField, side: RegionSide, t_a: float, x_a: Array,
-                t_b: float, k: int, x_prop: Array, solve_stats: SolveStats,
-                g_a: float, g_b: float) -> tuple[Array, RegionSide, float]:
-        """Cross the transitions of a grid step whose leg (x_prop, solve_stats)
-        by ``dvf`` ends off ``side``, with g_a and g_b the values of g at
-        x_a and x_prop; return the state at t_b, its side and its g."""
-        crossings = 0
-        while True:
-            if crossings >= MAX_CROSSINGS_PER_STEP:
-                raise StepTooLarge(f"more than {MAX_CROSSINGS_PER_STEP} crossings in "
-                                   "the step; reduce the step size")
-            if len(events) >= MAX_EVENTS:
-                raise RunawaySwitching(f"event count exceeded cap {MAX_EVENTS}")
-
-            ev = locate_crossing(dvf, surface, t_a, x_a, (t_b, x_prop, solve_stats),
-                                 g_a, g_b)
-            ev.step_index = k
-            if crossings:
-                events[-1].stats_complete = ev.stats_locate
-
-            # ev.residual_g is g at ev.x_hat.
-            info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g,
-                                            ev.residual_g)
-            if info.kind in (Classification.SLIDING, Classification.REPELLING):
-                raise NonTransversalCrossing(
-                    f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")
-            side_to = (RegionSide.PLUS if info.kind is Classification.TRANSVERSAL_UP
-                       else RegionSide.MINUS)
-            if side_to is side:
-                raise CrossingLocalizationFailed(
-                    f"sign change at t={ev.t_hat} contradicts the flow direction")
-            ev.side_from, ev.side_to = side, side_to
-
-            psi_from = sys.conserved(side).values(ev.x_hat)
-            ev.psi_level_residual = float(abs(psi_from - segments[-1].psi_ref).max())
-            sys.conserved(side_to).check_rank(ev.x_hat)
-
-            t_p = min(max(ev.t_hat + shift, t_a), t_b)
-            ev.perturbation_applied = t_p - ev.t_hat
-            events.append(ev)
-            segments.append(RegionSegment(
-                k + 1, side_to, sys.conserved(side_to).values(ev.x_hat)))
-            crossings += 1
-
-            if t_p >= t_b:
-                # Completion leg has zero length: exact landing, or the
-                # injected perturbation was clamped to the step end.
-                ev.stats_complete = _EXPLICIT
-                return ev.x_hat.copy(), side_to, ev.residual_g
-            t_a, x_a, side, g_a = t_p, ev.x_hat, side_to, ev.residual_g
-            dvf = scheme_plus if side is _PLUS else scheme_minus
-            x_prop, solve_stats = _solve_leg(dvf, t_a, x_a, t_b)
-            g_b = surface.value(x_prop)
-            if side_of(surface, x_prop, g_b) is side:
-                ev.stats_complete = solve_stats
-                return x_prop, side, g_b
-
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x = x0
-    # Grid legs from step warm_from on start from the quintic: their field
-    # iterates (explicit and marched legs never pay for the start), and
-    # x_{k-5}..x_k lie in its segment.  Both change only at crossings.
-    dvf = scheme_plus if side is _PLUS else scheme_minus
-    marching = dvf.march is not None
-    warm_from = 5 if dvf.is_implicit and not marching else n_steps
     band = surface.on_surface_tol
-    k = 0
+    # Each pass solves one leg of step k: its grid leg while the step has
+    # not crossed, else the completion leg from the last crossing to the
+    # step end.  After a crossing, t_a, x and g_x are that leg's start.
+    k = crossings = 0
+    entered = True  # the side changed: take its field
     # An escaping orbit overflows to inf, which the finiteness checks
     # turn into a typed error; numpy need not warn about it first.
     with np.errstate(over="ignore"):
         while k < n_steps:
-            leg = None
-            if marching:
-                # Commit in bulk the leading rows strictly on this side
-                # (a non-finite g is not).  The next row and its finite g
-                # are the leg of the step below; a non-finite g, or a step
-                # the march could not take, is solved there again, to raise.
-                n_block = min(_first_block(segments) if k == segments[-1].start_index
-                              else MARCH_BLOCK, n_steps - k)
-                try:
-                    rows = dvf.march(times.item(k), x, tau, n_block)
-                    gv = np.asarray(surface.g(rows), dtype=float)
-                    if gv.shape != (len(rows),):
-                        raise EvaluationError(
-                            f"g does not broadcast over a stack of {len(rows)} states "
-                            f"(returned shape {gv.shape})")
-                except NumericalError as exc:
-                    raise _at_step(exc, k, times.item(k), side) from exc
-                lo, hi = (band, math.inf) if side is _PLUS else (-math.inf, -band)
-                inside = (gv > lo) & (gv < hi)
-                n = int(inside.argmin())
-                if inside[n]:
-                    n = len(rows)
-                if n:
-                    states[k + 1:k + n + 1] = rows[:n]
-                    k += n
-                    x, g_x = rows[n - 1], gv.item(n - 1)
-                if n == n_block:
-                    continue
-                if n < len(rows) and math.isfinite(gv.item(n)):
-                    leg = rows[n], _DIRECT, gv.item(n)
-            # Python floats from times.item (not a tolist() grid) and the
-            # carried state keep numpy scalars and row views out of the
-            # step.  After a crossing, the side and g come from advance.
-            t_a, t_b = times.item(k), times.item(k + 1)
+            if entered:
+                # Grid legs from step warm_from on start from the quintic:
+                # their field iterates (explicit and marched legs never pay
+                # for the start), and x_{k-5}..x_k lie in its segment.
+                dvf = scheme_plus if side is _PLUS else scheme_minus
+                marching = dvf.march is not None
+                warm_from = (segments[-1].start_index + 5 if dvf.is_implicit and not marching
+                             else n_steps)
+                entered = False
             try:
-                if leg is None:
-                    x_new, stats = _solve_leg(
-                        dvf, t_a, x, t_b, tau,
-                        _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                if crossings:
+                    x_new, stats = _solve_leg(dvf, t_a, x, t_b)
                     g_new = surface.value(x_new)
+                    events[-1].stats_complete = stats
                 else:
-                    x_new, stats, g_new = leg
+                    leg = None
+                    if marching:
+                        # Commit in bulk the leading rows strictly on this
+                        # side (a non-finite g is not).  The next row and its
+                        # finite g are the leg of the step below; a non-finite
+                        # g, or a step the march could not take, is solved
+                        # there again, to raise.
+                        n_block = min(_first_block(segments) if k == segments[-1].start_index
+                                      else MARCH_BLOCK, n_steps - k)
+                        rows = dvf.march(times.item(k), x, tau, n_block)
+                        gv = np.asarray(surface.g(rows), dtype=float)
+                        if gv.shape != (len(rows),):
+                            raise EvaluationError(
+                                f"g does not broadcast over a stack of {len(rows)} states "
+                                f"(returned shape {gv.shape})")
+                        lo, hi = (band, math.inf) if side is _PLUS else (-math.inf, -band)
+                        inside = (gv > lo) & (gv < hi)
+                        n = int(inside.argmin())
+                        if inside[n]:
+                            n = len(rows)
+                        if n:
+                            states[k + 1:k + n + 1] = rows[:n]
+                            k += n
+                            x, g_x = rows[n - 1], gv.item(n - 1)
+                        if n == n_block:
+                            continue
+                        if n < len(rows) and math.isfinite(gv.item(n)):
+                            leg = rows[n], _DIRECT, gv.item(n)
+                    # Python floats from times.item (not a tolist() grid) and
+                    # the carried state keep numpy scalars and row views out
+                    # of the step.
+                    t_a, t_b = times.item(k), times.item(k + 1)
+                    if leg is None:
+                        x_new, stats = _solve_leg(
+                            dvf, t_a, x, t_b, tau,
+                            _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                        g_new = surface.value(x_new)
+                    else:
+                        x_new, stats, g_new = leg
                 if side_of(surface, x_new, g_new) is not side:
-                    x_new, side, g_new = advance(dvf, side, t_a, x, t_b, k, x_new, stats,
-                                                 g_x, g_new)
-                    dvf = scheme_plus if side is _PLUS else scheme_minus
-                    marching = dvf.march is not None
-                    warm_from = k + 6 if dvf.is_implicit and not marching else n_steps
+                    if crossings >= MAX_CROSSINGS_PER_STEP:
+                        raise StepTooLarge(f"more than {MAX_CROSSINGS_PER_STEP} crossings in "
+                                           "the step; reduce the step size")
+                    if len(events) >= MAX_EVENTS:
+                        raise RunawaySwitching(f"event count exceeded cap {MAX_EVENTS}")
+                    ev = locate_crossing(dvf, surface, t_a, x, (t_b, x_new, stats), g_x, g_new)
+                    ev.step_index = k
+                    if crossings:
+                        # The completion leg crossed: its statistics are
+                        # those of this localization.
+                        events[-1].stats_complete = ev.stats_locate
+
+                    # ev.residual_g is g at ev.x_hat.
+                    info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g,
+                                                    ev.residual_g)
+                    if info.kind in (Classification.SLIDING, Classification.REPELLING):
+                        raise NonTransversalCrossing(
+                            f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")
+                    side_to = (RegionSide.PLUS if info.kind is Classification.TRANSVERSAL_UP
+                               else RegionSide.MINUS)
+                    if side_to is side:
+                        raise CrossingLocalizationFailed(
+                            f"sign change at t={ev.t_hat} contradicts the flow direction")
+                    ev.side_from, ev.side_to = side, side_to
+
+                    psi_from = sys.conserved(side).values(ev.x_hat)
+                    ev.psi_level_residual = float(abs(psi_from - segments[-1].psi_ref).max())
+                    sys.conserved(side_to).check_rank(ev.x_hat)
+
+                    t_p = min(max(ev.t_hat + shift, t_a), t_b)
+                    ev.perturbation_applied = t_p - ev.t_hat
+                    events.append(ev)
+                    segments.append(RegionSegment(
+                        k + 1, side_to, sys.conserved(side_to).values(ev.x_hat)))
+                    crossings += 1
+                    side, entered = side_to, True
+                    if t_p < t_b:
+                        # The completion leg starts on the surface, whatever
+                        # its g-residual: the crossing code walks in from it.
+                        t_a, x, g_x = t_p, ev.x_hat, 0.0
+                        continue
+                    # Completion leg of zero length: exact landing, or the
+                    # injected perturbation was clamped to the step end.
+                    ev.stats_complete = _EXPLICIT
+                    x_new, g_new = ev.x_hat.copy(), ev.residual_g
             except NumericalError as exc:
-                raise _at_step(exc, k, t_a, side) from exc
+                raise _at_step(exc, k, times.item(k), segments[-1 - crossings].side) from exc
             states[k + 1] = x = x_new
             g_x = g_new
+            crossings = 0
             k += 1
     return Trajectory(times=times, states=states, tau=tau,
                       events=events, region_segments=segments)

@@ -371,6 +371,17 @@ class TestClassifyCommand:
         rc = main(["classify", "--out", str(tmp_path / "k")])
         assert rc == 2
 
+    def test_degenerate_point_is_a_row_error(self, tmp_path):
+        # Both fields vanish at the origin, so neither crosses y = 0 there;
+        # the failure goes to that row's error column and the next row is
+        # still classified.
+        out = str(tmp_path / "k")
+        rc = main(["classify", "--out", out, "--set", "points=0,0;1.41,0"])
+        assert rc == 0
+        _, rows = read_csv(f"{out}_classify.csv")
+        assert rows[0][6:] == ["", "DegenerateTangency"]
+        assert rows[1][6:] == ["transversal_down", ""]
+
 
 class TestExitCodes:
     def test_numerical_failure_is_exit_3(self, tmp_path):
@@ -386,6 +397,11 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "step 806 at t=0.806: the step equation" in err
+
+    def test_set_without_equals_is_exit_2(self, tmp_path, capsys):
+        rc = main(["integrate", "--out", str(tmp_path / "s"), "--set", "T"])
+        assert rc == 2
+        assert "--set expects KEY=VALUE, got 'T'" in capsys.readouterr().err
 
     def test_missing_config_file_is_exit_2(self, tmp_path):
         rc = main(["integrate", "--config", str(tmp_path / "nope.cfg"),

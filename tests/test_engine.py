@@ -751,6 +751,130 @@ class TestCrossingCost:
             assert max(blocks) <= engine.MARCH_BLOCK + 1
 
 
+# Runs through every kind of leg of the step loop, one entry per run:
+# the crossing steps, the sides entered, and the digests of the grid
+# times, the states, t_hat and x_hat, as in ELLIPTIC_GOLDEN.  Explicit
+# grid legs on the harmonic system (T=20); per-step RK4 legs handing
+# over to dmm-elliptic blocks; perturbed completion legs; two crossings
+# inside one step, and a walk-in that halves six times.  Iterated
+# dmm-midpoint runs are left out: their quintic start is a BLAS dot,
+# whose bits may differ between hosts.  The wiggle fields call libm's
+# cos.
+LOOP_GOLDEN = {
+    ("harmonic", "rk2", 0.1, None): ([7, 25, 57, 75, 106, 124, 156, 174], "-+-+-+-+", (
+        "b4cc82cd8b88e12c0bf229b56092d24ba961bd0ef6c6390d1780048ef27c227d",
+        "09043ed24ead39b80c7468d9f1e672f6490f7815a37e2bcf65f019a4005294e9",
+        "84aed92c96bef3def09aa7f90463f0d4f66908df3e94e03c18f81c5b0ef51d8c",
+        "79ec34dbc26030e7b932a9881fc32767ebf08abddb6c8e9a8f11d854cd1afa21")),
+    ("harmonic", "rk2", 0.01, None): ([78, 259, 574, 755, 1069, 1250, 1565, 1746],
+                                      "-+-+-+-+", (
+        "bdeec9fe4a741b13668174541d56053983113ebe5c78db3c6456995a07e5ecb5",
+        "1412152a9c5fc8f6e05196d7f1096cebe13b06cfdc01dd0e209d3381f4153fa4",
+        "485366f143d91503908370892e3d62c7f19ee5c2b1da0e7b0c242ebbc3fb93bd",
+        "9286a2c16d1b7deaa246fb107f062f0f01e81df0d2621ba80c086cc49d4f8352")),
+    ("harmonic", "rk4", 0.1, None): ([7, 25, 57, 75, 106, 125, 156, 174], "-+-+-+-+", (
+        "b4cc82cd8b88e12c0bf229b56092d24ba961bd0ef6c6390d1780048ef27c227d",
+        "afbbe5b438470ee14f430bcb471df789a0888b23bcefa2f11af0bd5e5faa5bdf",
+        "46733e41010e826b1f92bf86fc14a4571ac0b5f67433e0046f3bf1af93b0caa0",
+        "f28ffb9c14fa4623ae658f0cb3a35a2c808bb6229b018d38268a4f0447593fc0")),
+    ("harmonic", "rk4", 0.01, None): ([78, 259, 574, 755, 1069, 1250, 1565, 1746],
+                                      "-+-+-+-+", (
+        "bdeec9fe4a741b13668174541d56053983113ebe5c78db3c6456995a07e5ecb5",
+        "d248b963dd287faa604b20f9e3eb2e363153049dd9f5e4e0e8661bd1afa38a4e",
+        "b0b1f4d37f683ad22858e83a08486dd20b702da294711c78e8cde9287fa73dab",
+        "203064adfdb59acf357877bcb945765404561a673687e26f5f8e62ec19788322")),
+    ("elliptic", "rk4|dmm-elliptic", 0.01, None): (
+        [97, 161, 286, 351, 476, 540, 665, 729, 854, 919], "-+-+-+-+-+", (
+            "7f96e48a5b803c9c8fc61c17f1fa3d82c227ac47e0c85c491c332fa3f8fd4f4a",
+            "53ac6e52239dc52fc591ca648b4e0b0df5ac87c7b33202b8bd0361c23d78c32c",
+            "071720b46244696175b828c8497b8054926b67b21634f74cb5dd346203657ba0",
+            "33fd62cf446a68ceb5fcb3634a368f5bf2e68dc6a8ff758f3b8ce375ec3487d5")),
+    ("elliptic", "dmm-elliptic", 0.04, (1.0, 2.0)): (
+        [24, 40, 71, 87, 119, 135, 166, 182, 214, 230], "-+-+-+-+-+", (
+            "d104880d3a14b35029469151a93dcc71ba755d329c53fd269a5081ef6431c6eb",
+            "1d56e68d37e8d2f4939e13bdd1324d1c4224c5c10ca196ed27971dcb90aceb5d",
+            "0c492dbc4ee1363e758990fc7e7e19bcf0a33bff95df2bdaca8844ba2ee75f99",
+            "bc033720290bf0a26bf716c0a5dde70474a9aa3ba01fca9abd412f2789a1307f")),
+    ("elliptic", "dmm-elliptic", 0.04, (-3.0, 1.0)): (
+        [24, 40, 71, 87, 118, 134, 165, 181, 212, 228], "-+-+-+-+-+", (
+            "d104880d3a14b35029469151a93dcc71ba755d329c53fd269a5081ef6431c6eb",
+            "9337344a2bc002cece775057eaba9e8cd97b16d434ebe67709baaecd8cd5be64",
+            "9e71417ef5a12d870c0fca375c8c6229275ce32b91e51180b96b69b8750257b3",
+            "dae41ec2823e8b578c35e692db760aca7e464a9a362b40af785eb12540eb6d12")),
+    ("wiggle", "rk4", 1.0, None): ([0, 0, 1, 1, 2, 2], "-+-+-+", (
+        "7de6a3e8b81914b121f3ad89004fb39a73cfc71c4884164b034766ce18a5919c",
+        "9eef7641b8b4aed4d5d8ca2edf7d5eb7c7d88c9e21211f2d6cf7c62d69c6d586",
+        "0a888501dbfcc2781c183ec2a77a58a0f7fd70657129a45fe996d7dbe70c9d5d",
+        "2b5484b4e6aef3f3654a2cb2a16fb14a6b22a1fe15476ae62ea96f59c05c523d")),
+    ("walk-in", "rk4", 1.0, None): ([1, 1, 2, 2], "-+-+", (
+        "7de6a3e8b81914b121f3ad89004fb39a73cfc71c4884164b034766ce18a5919c",
+        "7d9ca3c93c1d5f04e5f30f90acc77f8bac9ab562acd9d89b9a110e6d338852ed",
+        "43c458a65eb6afeb280461fc2a5b4b17915a6e30458f931b05ad4976b453bde8",
+        "8391955e8cafd5b485f087e346f43eb0ed34597d92b4fd478be43a51972166f1")),
+}
+
+# The wiggle runs from t=0 to 3 with tau=1: (a_minus, a_plus, offset)
+# of wiggle_system at frequency 2 pi, and x0.
+WIGGLES = {"wiggle": ((2.0, 1.0, 0.05), [0.0, 0.13]),
+           "walk-in": ((3.0, 0.5, 0.02), [0.0, 0.3])}
+
+
+def wiggle_run(name, surface_scale=1.0):
+    """The RK4 run ``name`` of WIGGLES, with g and grad g scaled by ``surface_scale``."""
+    (a_minus, a_plus, offset), x0 = WIGGLES[name]
+    sys_ = wiggle_system(2.0 * math.pi, a_minus, a_plus, offset=offset)
+    surface = dataclasses.replace(
+        sys_.surface, g=lambda x: surface_scale * (x[..., 1] - offset),
+        grad_g=lambda x: np.array([0.0, surface_scale]))
+    dvfs = (rk4_dvf(sys_.f_minus), rk4_dvf(sys_.f_plus))
+    return integrate(dataclasses.replace(sys_, surface=surface), *dvfs, x0, 0.0, 3.0, 1.0)
+
+
+class TestLegLoop:
+    @pytest.mark.parametrize("key", list(LOOP_GOLDEN), ids=str)
+    def test_runs_match_the_golden_digests(self, request, key):
+        system, names, tau, perturbation = key
+        if system in WIGGLES:
+            traj = wiggle_run(system)
+        else:
+            sys_ = request.getfixturevalue(system)
+            minus, _, plus = names.partition("|")
+            schemes = (resolve_scheme(minus, sys_, RegionSide.MINUS),
+                       resolve_scheme(plus or minus, sys_, RegionSide.PLUS))
+            x0, T = ([1.0, 1.0], 20.0) if system == "harmonic" else ([-1.0, -1.0], 10.0)
+            traj = integrate(sys_, *schemes, x0, 0.0, T, tau, perturbation=perturbation)
+        steps, sides, digests = LOOP_GOLDEN[key]
+        assert [ev.step_index for ev in traj.events] == steps
+        assert "".join("+" if ev.side_to is RegionSide.PLUS else "-"
+                       for ev in traj.events) == sides
+        assert (float_digest(traj.times), float_digest(traj.states),
+                float_digest([ev.t_hat for ev in traj.events]),
+                float_digest([ev.x_hat for ev in traj.events])) == digests
+
+    def test_walk_in_halves_until_it_finds_a_signed_point(self):
+        # The completion leg of the first crossing starts on the surface;
+        # the walk-in from there halves the leg six times before phi has
+        # the sign opposite its end.
+        traj = wiggle_run("walk-in")
+        assert [ev.step_index for ev in traj.events] == [1, 1, 2, 2]
+        assert "".join("+" if ev.side_to is RegionSide.PLUS else "-"
+                       for ev in traj.events) == "-+-+"
+        assert max(abs(ev.residual_g) for ev in traj.events) <= 8.2e-16
+        assert [ev.stats_locate.iterations for ev in traj.events] == [11, 19, 12, 10]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_steep_g_crosses_where_the_unscaled_one_does(self, scale):
+        # g and grad g scaled by 1e6 or 1e9 describe the same surface.  A
+        # completion leg starts at x_hat, whose |g| (7e-10 at 1e6) exceeds
+        # the absolute on-surface band; it still walks in from the surface.
+        ref, steep = wiggle_run("wiggle"), wiggle_run("wiggle", scale)
+        assert len(steep.events) == len(ref.events) == 6
+        assert ([(ev.step_index, ev.side_from, ev.side_to) for ev in steep.events]
+                == [(ev.step_index, ev.side_from, ev.side_to) for ev in ref.events])
+        np.testing.assert_allclose([ev.t_hat for ev in steep.events],
+                                   [ev.t_hat for ev in ref.events], rtol=0, atol=1e-14)
+
+
 def euler_predictor(leg):
     h = leg["t_b"] - leg["t_a"] if leg["h"] is None else leg["h"]
     return leg["x_a"] + h * leg["dvf"].evaluate(leg["t_a"], leg["x_a"], leg["t_b"], leg["x_a"])
