@@ -59,8 +59,7 @@ def write_csv(path, header: list[str], rows, row_format: str | None = None) -> N
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if row_format is not None:
-            for row in rows:
-                fh.write(row_format % row)
+            fh.writelines(map(row_format.__mod__, rows))
             return
         for row in rows:
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)

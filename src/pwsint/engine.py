@@ -174,8 +174,11 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     if dvf.march is not None:
         return dvf.march(t_a, x_a, h, 1)[0], _DIRECT
 
+    evaluate = dvf.evaluate
+    h = np.array(h)  # 0-d, as schemes._HALF: half the cost of a product, same bits
+
     def step_map(x):
-        return x_a + h * dvf.evaluate(t_a, x_a, t_b, x)
+        return x_a + h * evaluate(t_a, x_a, t_b, x)
 
     if guess is None:
         guess = step_map(x_a)
@@ -344,6 +347,21 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     if side is RegionSide.ON_SURFACE:
         raise InvalidInitialCondition("initial state lies on the switching surface")
     sys.conserved(side).check_rank(x0)
+    if scheme_minus.march is not None or scheme_plus.march is not None:
+        # Blocks take g on a stack of rows for g on each row.  A g that
+        # indexes rows instead fits only stacks of dim rows, and the
+        # block test below checks only the shape: probe it once, on
+        # dim + 1 copies of x0, against g(x0).
+        n_probe = sys.dim + 1
+        try:
+            probe = np.asarray(surface.g(np.tile(x0, (n_probe, 1))), dtype=float)
+            broadcasts = probe.shape == (n_probe,) and (probe == g_x).all()
+        except (IndexError, TypeError, ValueError):
+            broadcasts = False
+        if not broadcasts:
+            raise _at_step(EvaluationError(
+                f"g does not broadcast: on a stack of {n_probe} copies of x0 it must "
+                "return g(x0) for each"), 0, t0, side)
 
     events: list[CrossingEvent] = []
     segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]

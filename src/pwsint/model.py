@@ -62,11 +62,14 @@ class SwitchingSurface:
     scalars that ``x.T[i]`` returns.  Row i of ``g`` on a stack must
     have the same bits as ``g`` on row i alone (true of elementwise
     arithmetic), since ``integrate`` uses the block's values in place
-    of single-state ones.  ``integrate`` evaluates ``g`` once per state
-    it computes and reuses the value: at a step end (from the block, or
-    from the single-state call) it decides the side and brackets a
-    crossing, and at a crossing point it classifies the crossing.  A
-    crossing adds one call per in-step leg it solves.
+    of single-state ones; a run with a marching field checks this once,
+    on ``dim + 1`` copies of its initial state, and raises
+    ``EvaluationError`` at step 0 unless each gets ``g`` of that state.
+    ``integrate`` evaluates ``g`` once per state it computes and reuses
+    the value: at a step end (from the block, or from the single-state
+    call) it decides the side and brackets a crossing, and at a crossing
+    point it classifies the crossing.  A crossing adds one call per
+    in-step leg it solves.
     """
 
     g: StateFunc

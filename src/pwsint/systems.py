@@ -38,8 +38,12 @@ def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsS
     """Piecewise harmonic oscillator split by the line y = 0."""
 
     def make_field(w2):
+        # (y, -w2 x) as one product: 1.0 * y is y, and (-w2) * x is
+        # -(w2 * x), signed zeros, infinities and nan included.
+        c = np.array([1.0, -w2])
+
         def f(t, x):
-            return np.array([x[1], -w2 * x[0]])
+            return x[::-1] * c
         return f
 
     def make_conserved(w2):

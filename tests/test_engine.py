@@ -558,6 +558,22 @@ class TestMarch:
             integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 1.0, 1e-2)
         assert info.value.k == 0
 
+    @pytest.mark.parametrize("x0, tau", [((0.2, -0.9), 0.1), ((0.2, -0.9), 0.5),
+                                         ((0.9, 0.1), 0.25)])
+    def test_g_that_fits_only_a_stack_of_dim_rows_is_rejected(self, elliptic,
+                                                               elliptic_dmm, x0, tau):
+        # g indexes rows: on a block of exactly dim (2) rows it has the
+        # block's shape and the wrong values (the run from (0.2, -0.9) at
+        # tau=0.1 would end 0.068 off), and on one row it raises an
+        # IndexError (tau=0.5).  Each raises before its first step.
+        surface = dataclasses.replace(
+            elliptic.surface, g=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0)
+        sys_ = dataclasses.replace(elliptic, surface=surface)
+        with pytest.raises(EvaluationError, match="does not broadcast") as info:
+            integrate(sys_, *elliptic_dmm, x0, 0.0, 2 * tau, tau)
+        assert (info.value.k, info.value.t, info.value.side) == (0, 0.0, RegionSide.MINUS)
+        assert str(info.value).startswith("step 0 at t=0.0: ")
+
     @pytest.mark.parametrize("names", [("dmm-elliptic", "dmm-midpoint"),
                                        ("rk4", "dmm-elliptic")])
     def test_marching_and_per_step_fields_hand_over(self, elliptic, names):
@@ -717,10 +733,11 @@ class TestCrossingCost:
         traj = integrate(sys_, *schemes, [-1.0, -1.0], 0.0, 10.0, 0.01)
         n = len(traj.events)
         assert n == 10
-        # Beyond the crossings: g at x0, and the rank check at x0.
+        # Beyond the crossings: g at x0, the rank check at x0, and g on
+        # the stack that probes whether g broadcasts.
         assert counts["g"] - 1 == counts["leg"] == 53
         assert counts["grad_psi"] - 1 == n
-        assert counts["g_stack"] == counts["block"] == 21
+        assert counts["g_stack"] - 1 == counts["block"] == 21
         assert svd_calls == []
 
     def test_an_elliptic_sweep_marches_few_rows_past_its_crossings(self, elliptic,

@@ -254,6 +254,24 @@ class TestTypesAndCatalog:
             if x.ndim == 2 and np.all(np.isfinite(want)):
                 assert surface.stack_values(x).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("side", [RegionSide.MINUS, RegionSide.PLUS])
+    def test_harmonic_field_has_the_bits_of_its_formula(self, side):
+        # The catalog field computes (y, -w2 x) as one product with
+        # (1, -w2); it must give the bits of the formula, sign of zero
+        # and of nan included, overflow too.
+        sys_ = make_system("harmonic", omega2_minus=3.0, omega2_plus=0.7)
+        w2 = sys_.params[f"omega2_{side.value}"]
+        entries = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]
+        for a in entries:
+            for b in entries:
+                x = np.array([a, b])
+                with np.errstate(over="ignore"):
+                    got = sys_.field(side)(0.0, x)
+                    want = np.array([x[1], -w2 * x[0]])
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (a, b)
+                assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
     @pytest.mark.parametrize("g", [
         lambda x: x[1],                              # indexes the first axis
         lambda x: x[1] if x.ndim == 1 else np.zeros(len(x)),  # right shape, wrong values

@@ -3,16 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from pwsint import bracketed_root, fixed_point, newton, quadratic_root_bound, solvers
+import inspect
+
+from pwsint import (
+    SolveStats,
+    bracketed_root,
+    fixed_point,
+    newton,
+    quadratic_root_bound,
+    solvers,
+)
 from pwsint.errors import (
     BracketError,
     DivergingFixedPoint,
+    NoConvergence,
     NoRealSeparation,
     SingularJacobian,
 )
 
 from conftest import midpoint_harmonic_step
 
+
+class TestSolveStats:
+    def test_fields_in_order(self):
+        assert list(inspect.signature(SolveStats).parameters) == [
+            "iterations", "residual", "contraction_estimate", "method_used"]
+
+    def test_keyword_construction_and_equality(self):
+        stats = SolveStats(iterations=3, residual=1e-15, contraction_estimate=0.1,
+                           method_used="fixed_point")
+        assert stats == SolveStats(3, 1e-15, 0.1, "fixed_point")
+        assert (stats.iterations, stats.residual, stats.contraction_estimate,
+                stats.method_used) == (3, 1e-15, 0.1, "fixed_point")
+        assert stats != SolveStats(4, 1e-15, 0.1, "fixed_point")
+        assert stats != SolveStats(3, 1e-15, 0.1, "newton")
+
+    def test_immutable(self):
+        stats = SolveStats(1, 0.0, 0.0, "fixed_point")
+        with pytest.raises(AttributeError):
+            stats.iterations = 2
 
 
 class TestFixedPoint:
@@ -47,9 +76,30 @@ class TestFixedPoint:
                                    rtol=0, atol=1e-12)
 
     def test_iteration_cap(self):
-        from pwsint.errors import NoConvergence
         with pytest.raises(NoConvergence):
             fixed_point(lambda x: 0.9999 * x + 1.0, np.array([0.0]), max_iter=3)
+
+    def test_update_of_at_most_the_tolerance_accepts_at_once(self):
+        x, stats = fixed_point(lambda x: np.array([solvers.FP_TOL]), np.array([0.0]))
+        assert (x.tolist(), stats.iterations, stats.residual) == (
+            [solvers.FP_TOL], 1, solvers.FP_TOL)
+
+    def test_mixed_tolerance_scales_with_the_iterate(self):
+        # At |x| = 1e3 an update of 5e-12 is above FP_TOL but below
+        # FP_TOL * (1 + |x|), about 1e-11: accepted at once.  One of
+        # 2e-11 is above both: iterated once more, to a zero update.
+        x0 = np.array([1e3])
+        x, stats = fixed_point(lambda x: x0 + 5e-12, x0)
+        assert stats.iterations == 1
+        assert solvers.FP_TOL < stats.residual <= solvers.FP_TOL * (1.0 + abs(x[0]))
+        x, stats = fixed_point(lambda x: x0 + 2e-11, x0)
+        assert (stats.iterations, stats.residual) == (2, 0.0)
+
+    def test_nan_map_does_not_converge(self):
+        # A nan update passes no test: not the stop test, and not the
+        # contraction monitor either, so the cap is what ends it.
+        with pytest.raises(NoConvergence):
+            fixed_point(lambda x: np.full(2, np.nan), np.array([1.0, 1.0]))
 
 
 class TestNewton:
