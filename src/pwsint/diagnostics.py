@@ -146,29 +146,24 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
 
     if oracle_state is not None:
         # Curvature proxy from the exact trajectory sampled at the grid:
-        # |xdot . H_g xdot + grad_g . xddot| / 2 with xddot by finite
-        # differences of the active field along same-side samples.
+        # |xdot . H_g xdot + grad_g . xddot| / 2 with xddot the difference
+        # of the active field between the sample's same-side neighbours,
+        # or the sample itself where a neighbour is missing.
         tau = traj.tau
         sides = {k: traj.segment_at(k).side for k in idx}
         big = 0.0
         for k in idx:
-            x = traj.states[k]
-            f_here = field_for_side(sys, sides[k], traj.times[k], x)
+            x, side = traj.states[k], sides[k]
+            f_here = field_for_side(sys, side, traj.times[k], x)
             term1 = float(f_here @ surface.hessian(x) @ f_here)
-            xdd = None
-            if k - 1 in sides and k + 1 in sides and sides[k - 1] == sides[k + 1] == sides[k]:
-                f_m = field_for_side(sys, sides[k], traj.times[k - 1], traj.states[k - 1])
-                f_p = field_for_side(sys, sides[k], traj.times[k + 1], traj.states[k + 1])
-                xdd = (f_p - f_m) / (2.0 * tau)
-            elif k + 1 in sides and sides[k + 1] == sides[k]:
-                f_p = field_for_side(sys, sides[k], traj.times[k + 1], traj.states[k + 1])
-                xdd = (f_p - f_here) / tau
-            elif k - 1 in sides and sides[k - 1] == sides[k]:
-                f_m = field_for_side(sys, sides[k], traj.times[k - 1], traj.states[k - 1])
-                xdd = (f_here - f_m) / tau
-            if xdd is None:
+            lo = k - 1 if sides.get(k - 1) is side else k
+            hi = k + 1 if sides.get(k + 1) is side else k
+            if lo == hi:
                 continue
-            term2 = float(surface.gradient(x) @ xdd)
+            f_lo, f_hi = (f_here if j == k else
+                          field_for_side(sys, side, traj.times[j], traj.states[j])
+                          for j in (lo, hi))
+            term2 = float(surface.gradient(x) @ ((f_hi - f_lo) / ((hi - lo) * tau)))
             big = max(big, abs(term1 + term2))
         M_hat = 0.5 * big
         dx = float(np.linalg.norm(np.asarray(oracle_state(event.t_hat))
@@ -178,30 +173,24 @@ def check_crossing_bound(traj: Trajectory, sys: PwsSystem, event: CrossingEvent,
     else:
         # Discrete analogue: M from |f_tau . H_g f_tau| / 2 sampled along
         # the two in-step legs, separation from the dense in-step solve.
-        def leg_sup(dvf, a, x_a, b, anchor_t, anchor_x, before: bool) -> float:
+        t_hat, x_hat = event.t_hat, event.x_hat
+
+        def leg_sup(dvf, a, x_a, b, before: bool) -> float:
             sup = 0.0
             for t in np.linspace(a, b, 7):
                 x_t = smooth_step(dvf, a, x_a, t)
-                if before:
-                    fv = dvf.evaluate(t, x_t, anchor_t, anchor_x)
-                else:
-                    fv = dvf.evaluate(anchor_t, anchor_x, t, x_t)
+                ends = (t, x_t, t_hat, x_hat) if before else (t_hat, x_hat, t, x_t)
+                fv = dvf.evaluate(*ends)
                 for s in (0.0, 0.5, 1.0):
-                    xi = anchor_x + s * (x_t - anchor_x)
+                    xi = x_hat + s * (x_t - x_hat)
                     sup = max(sup, abs(float(fv @ surface.hessian(xi) @ fv)))
             return sup
 
-        t_end = traj.times[k0 + 1]
-        m_minus = leg_sup(dvf_from, t_k, x_k, event.t_hat,
-                          event.t_hat, event.x_hat, before=True)
-        m_plus = leg_sup(dvf_to, event.t_hat, event.x_hat, t_end,
-                         event.t_hat, event.x_hat, before=False)
-        M_hat = 0.5 * max(m_minus, m_plus)
-        if oracle_t_star <= event.t_hat:
-            x_ref = smooth_step(dvf_from, t_k, x_k, oracle_t_star)
-        else:
-            x_ref = smooth_step(dvf_to, event.t_hat, event.x_hat, oracle_t_star)
-        dx = float(np.linalg.norm(x_ref - event.x_hat))
+        before_leg = (dvf_from, t_k, x_k, t_hat)
+        after_leg = (dvf_to, t_hat, x_hat, traj.times[k0 + 1])
+        M_hat = 0.5 * max(leg_sup(*before_leg, True), leg_sup(*after_leg, False))
+        dvf, a, x_a, _ = before_leg if oracle_t_star <= t_hat else after_leg
+        dx = float(np.linalg.norm(smooth_step(dvf, a, x_a, oracle_t_star) - x_hat))
         variant = "discrete"
         note = "M sampled at 7 points per leg; may underestimate the supremum"
 

@@ -8,13 +8,14 @@ field.  Grid legs of implicit fields step by exactly ``tau``; every
 other leg (explicit, in-step, completion) steps by the difference of
 its end times.  A field with a direct ``march`` (``dmm-elliptic``)
 marches a block of up to ``MARCH_BLOCK`` grid steps in one call,
-evaluates ``g`` once on the stacked rows and commits in bulk the
-leading rows that lie strictly on its side.  The first block of a
-segment that follows a crossing is sized so that a later one ends two
-rows past the crossing step predicted by the last segment on the same
-side, which keeps the rows marched past a crossing and dropped to a
-few.  A block's crossing or landing step takes the block's next row
-and ``g`` as its grid leg; other legs are solved, by a one-step march
+evaluates ``g`` once on the stacked rows (``SwitchingSurface`` states
+what ``g`` must do on a stack) and commits in bulk the leading rows
+that lie strictly on its side.  The first block of a segment that
+follows a crossing is sized so that a later one ends two rows past the
+crossing step predicted by the last segment on the same side, which
+keeps the rows marched past a crossing and dropped to a few.  A
+block's crossing or landing step takes the block's next row and ``g``
+as its grid leg; other legs are solved, by a one-step march
 (a step the march could not take, or a row whose ``g`` is not finite,
 is solved again so that it raises), by explicit evaluation, or by
 fixed-point iteration with a Newton fallback, an iterated grid leg
@@ -286,14 +287,15 @@ def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> Numeric
 def _first_block(segments: list[RegionSegment]) -> int:
     """Rows of the first march of the segment just entered: 2 to 65.
 
-    The last segment on the same side took L grid steps, the last of
-    them its crossing step; this segment's blocks of ``MARCH_BLOCK``
-    are aligned so that one ends two rows past the same step here, row
-    L - 1.  A first block of one row takes ``MARCH_BLOCK + 1`` instead,
-    which ends where the two would have.  The first segment starts at
-    x0, part way along, and predicts nothing.
+    The last segment on the same side (sides alternate, so that is
+    ``segments[-3]``) took L grid steps, the last of them its crossing
+    step; this segment's blocks of ``MARCH_BLOCK`` are aligned so that
+    one ends two rows past the same step here, row L - 1.  A first
+    block of one row takes ``MARCH_BLOCK + 1`` instead, which ends where
+    the two would have.  The first segment starts at x0, part way
+    along, and predicts nothing.
     """
-    if len(segments) < 4 or segments[-3].side is not segments[-1].side:
+    if len(segments) < 4:
         return MARCH_BLOCK
     steps = segments[-2].start_index - segments[-3].start_index
     return steps % MARCH_BLOCK + 2
@@ -348,9 +350,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
         raise InvalidInitialCondition("initial state lies on the switching surface")
     sys.conserved(side).check_rank(x0)
     if scheme_minus.march is not None or scheme_plus.march is not None:
-        # Blocks take g on a stack of rows for g on each row.  A g that
-        # indexes rows instead fits only stacks of dim rows, and the
-        # block test below checks only the shape: probe it once, on
+        # The block test below checks only the shape of g on a stack:
+        # probe the rest of the SwitchingSurface contract once, on
         # dim + 1 copies of x0, against g(x0).
         n_probe = sys.dim + 1
         try:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple
+from types import MappingProxyType
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class SwitchingSurface:
     of single-state ones; a run with a marching field checks this once,
     on ``dim + 1`` copies of its initial state, and raises
     ``EvaluationError`` at step 0 unless each gets ``g`` of that state.
+    A ``g`` such as ``x[0] * x[0] + x[1] * x[1] - 1`` indexes rows
+    instead: it fits a stack of exactly ``dim`` rows, with the wrong
+    values, hence the ``dim + 1`` copies.
     ``integrate`` evaluates ``g`` once per state it computes and reuses
     the value: at a step end (from the block, or from the single-state
     call) it decides the side and brackets a crossing, and at a crossing
@@ -185,6 +189,9 @@ class PwsSystem:
     regions; evaluating them on the wrong side is mathematically fine
     and occasionally done by the transition machinery, which always
     tracks the side explicitly.
+
+    ``params`` is stored as a read-only view of a copy of the mapping
+    given, so a copy made by ``dataclasses.replace`` has its own.
     """
 
     dim: int
@@ -194,7 +201,10 @@ class PwsSystem:
     conserved_minus: ConservedSet
     conserved_plus: ConservedSet
     name: str = ""
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def field(self, side: RegionSide) -> VectorField:
         if side is RegionSide.MINUS:

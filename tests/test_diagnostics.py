@@ -159,6 +159,36 @@ class TestCrossingBound:
             assert rep.M_hat > 0.0
             assert 1.9 < rep.L_g_hat < 2.3  # |grad g| = 2|x| near the unit circle
 
+    def test_sample_without_same_side_neighbour_is_skipped(self, harmonic, harmonic_dmm):
+        # At tau=1.2 the segments start at steps 0, 1, 3, ...: sample 0 is
+        # alone on its side in the window of the first event, so the
+        # curvature proxy has no difference there and skips it.
+        traj = integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1],
+                         [1.0, 1.0], 0.0, 20.0, 1.2)
+        oracle, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 20.0)
+        assert [seg.start_index for seg in traj.region_segments[:3]] == [0, 1, 3]
+        assert len(traj.events) == len(oracle_events) == 8
+        for ev, ov in zip(traj.events, oracle_events):
+            rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
+                                       harmonic_dmm[0], harmonic_dmm[1],
+                                       oracle_state=oracle)
+            assert rep.satisfied, rep
+            assert rep.variant == "continuous"
+
+    def test_reference_after_the_computed_crossing(self, harmonic, harmonic_rk2):
+        # rk2 at tau=0.1 localizes every crossing before the exact one, so
+        # the reference state comes from the completion leg.
+        traj = integrate(harmonic, harmonic_rk2[0], harmonic_rk2[1],
+                         [1.0, 1.0], 0.0, 20.0, 0.1)
+        _, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 20.0)
+        assert len(traj.events) == len(oracle_events) == 8
+        for ev, ov in zip(traj.events, oracle_events):
+            assert ov.t_star > ev.t_hat
+            rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
+                                       harmonic_rk2[0], harmonic_rk2[1])
+            assert rep.satisfied, rep
+            assert rep.variant == "discrete"
+
     def test_missing_hessian_rejected(self, harmonic, harmonic_dmm):
         bare_surface = SwitchingSurface(g=harmonic.surface.g,
                                         grad_g=harmonic.surface.grad_g)

@@ -574,6 +574,35 @@ class TestMarch:
         assert (info.value.k, info.value.t, info.value.side) == (0, 0.0, RegionSide.MINUS)
         assert str(info.value).startswith("step 0 at t=0.0: ")
 
+    def test_g_that_raises_on_a_stack_is_rejected(self, elliptic, elliptic_dmm):
+        # The probe's IndexError is the broadcast failure, dated at step 0
+        # on the side of x0 = (-1, -1), outside the circle.
+        circle = elliptic.surface.g
+        surface = dataclasses.replace(
+            elliptic.surface, g=lambda x: circle(x) if x.ndim == 1 else circle(x)[len(x) + 5])
+        sys_ = dataclasses.replace(elliptic, surface=surface)
+        with pytest.raises(EvaluationError) as info:
+            integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 1.0, 1e-2)
+        assert (info.value.k, info.value.t, info.value.side) == (0, 0.0, RegionSide.PLUS)
+        assert str(info.value).startswith(
+            "step 0 at t=0.0: g does not broadcast: on a stack of 3 copies of x0 ")
+
+    def test_g_that_drops_stacked_rows_is_rejected(self, elliptic, elliptic_dmm):
+        # Copies of x0 keep all rows (x < -0.5), so the probe passes; the
+        # second block, from step 64, has rows with x >= -0.5 and a g of
+        # fewer values than rows.
+        circle = elliptic.surface.g
+        surface = dataclasses.replace(
+            elliptic.surface,
+            g=lambda x: circle(x) if x.ndim == 1 else circle(x)[x[:, 0] < -0.5])
+        sys_ = dataclasses.replace(elliptic, surface=surface)
+        with pytest.raises(EvaluationError) as info:
+            integrate(sys_, *elliptic_dmm, [-1.0, -1.0], 0.0, 10.0, 1e-2)
+        assert (info.value.k, info.value.t, info.value.side) == (64, 0.64, RegionSide.PLUS)
+        assert str(info.value) == (
+            "step 64 at t=0.64: g does not broadcast over a stack of 64 states "
+            "(returned shape (30,)) (on the plus side)")
+
     @pytest.mark.parametrize("names", [("dmm-elliptic", "dmm-midpoint"),
                                        ("rk4", "dmm-elliptic")])
     def test_marching_and_per_step_fields_hand_over(self, elliptic, names):

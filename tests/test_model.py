@@ -9,15 +9,20 @@ import pytest
 from pwsint import (
     Classification,
     ConservedSet,
+    EllipticOracle,
     PwsSystem,
     RegionSide,
     SwitchingSurface,
     classify_interface_point,
+    elliptic_dmm_dvf,
     field_for_side,
+    harmonic_oracle,
     make_system,
+    resolve_scheme,
     side_of,
 )
 from pwsint.errors import ConfigError, DegenerateTangency, EvaluationError
+from pwsint.systems import SYSTEMS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -324,6 +329,37 @@ class TestTypesAndCatalog:
             make_system("lorenz")
         with pytest.raises(ConfigError):
             make_system("harmonic", bogus=1.0)
+
+    def test_params_are_read_only(self):
+        # A DMM built from a changed a while the fields keep the old one
+        # would drift off the conserved set and report no level residual.
+        sys_ = make_system("elliptic")
+        with pytest.raises(TypeError):
+            sys_.params["a_minus"] = -2.5
+        assert sys_.params == {"a_minus": -3.0, "a_plus": -2.0, "radius": 1.0}
+
+    def test_params_are_copied(self):
+        given = {"a_minus": -3.0, "a_plus": -2.0, "radius": 1.0}
+        sys_ = dataclasses.replace(make_system("elliptic"), params=given)
+        copy = dataclasses.replace(sys_, name="copy")
+        given["a_minus"] = -2.5
+        assert sys_.params["a_minus"] == copy.params["a_minus"] == -3.0
+        assert copy.params == sys_.params and copy.params is not sys_.params
+        assert make_system("elliptic", **sys_.params).params == sys_.params
+
+    def test_schemes_and_oracles_read_params(self):
+        sys_ = make_system("elliptic", a_minus=-2.5)
+        dmm = resolve_scheme("dmm-elliptic", sys_, RegionSide.MINUS)
+        direct = elliptic_dmm_dvf(-2.5, conserves=sys_.conserved_minus)
+        x = np.array([0.3, -0.2])
+        assert np.array_equal(dmm.march(0.0, x, 1e-2, 5), direct.march(0.0, x, 1e-2, 5))
+        _, events = SYSTEMS["elliptic"].oracle(sys_, (-1.0, -1.0), 0.0, 5.0)
+        exact = EllipticOracle(-2.5, -2.0, 1.0, (-1.0, -1.0), 0.0, 5.0).events
+        assert [ev.t_star for ev in events] == [ev.t_star for ev in exact]
+        harmonic = make_system("harmonic", omega2_minus=5.0)
+        _, events = SYSTEMS["harmonic"].oracle(harmonic, (1.0, 1.0), 0.0, 5.0)
+        _, exact = harmonic_oracle(5.0, 1.0, (1.0, 1.0), 0.0, 5.0)
+        assert [ev.t_star for ev in events] == [ev.t_star for ev in exact]
 
     def test_elliptic_conserved_values(self, elliptic):
         # psi_plus = y^2 - x^3 + 2x is 0 at (-1, -1)
