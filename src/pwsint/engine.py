@@ -102,7 +102,10 @@ class CrossingEvent:
     and ``x_hat`` that leg's state there, both to solver tolerance;
     ``perturbation_applied`` is the actual (clamped) shift added to
     ``t_hat`` before the completion leg.  ``stats_locate`` describes the
-    localization and ``stats_complete`` the completion leg.
+    localization: its iterations count the evaluations of g along the
+    leg, the step end's included.  ``stats_complete`` describes the
+    completion leg: its solver iterations, or the next localization's
+    count when that leg crosses again, and 0 for a zero-length leg.
     """
 
     t_hat: float
@@ -215,67 +218,55 @@ def locate_crossing(dvf_from: DiscreteVectorField, surface: SwitchingSurface,
     Returns a partial event carrying (t_hat, x_hat), the g-residual and
     the locate statistics; region bookkeeping is filled by the caller.
     A step end in the on-surface band (|g| <= on_surface_tol) is a
-    landing: the event sits at t_b with the end leg's state, g and
-    solve statistics.
+    landing: the event sits at t_b with the end leg's state and g, and
+    its statistics count one evaluation of g, the step end's.
     """
     x_k = np.asarray(x_k, dtype=float)
     n_evals = 1  # phi(t_b), known on entry
     t_b, x_b, stats_b = end_leg
-    # t -> (state, solve stats, g) of the leg from t_k; Brent evaluates
-    # both bracket ends again and returns a time it evaluated.
+    # t -> (state, solve stats, g) of the leg from t_k.  Brent evaluates
+    # both bracket ends again; it and the walk-in return a time phi saw.
     legs: dict[float, tuple[Array, SolveStats, float]] = {
         t_k: (x_k, _EXPLICIT, g_a), t_b: (x_b, stats_b, g_b)}
-
-    def leg(t: float) -> tuple[Array, SolveStats, float]:
-        if t not in legs:
-            x, stats = _solve_leg(dvf_from, t_k, x_k, t)
-            legs[t] = (x, stats, surface.value(x))
-        return legs[t]
 
     def phi(t: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        return leg(t)[2]
+        if t not in legs:
+            x, stats = _solve_leg(dvf_from, t_k, x_k, t)
+            legs[t] = (x, stats, surface.value(x))
+        return legs[t][2]
 
     band = surface.on_surface_tol
     if abs(g_b) <= band:
-        return CrossingEvent(t_hat=t_b, x_hat=x_b, residual_g=g_b, stats_locate=stats_b)
-
-    a_eff = t_k
-    if abs(g_a) > band and g_a * g_b < 0.0:
-        pass  # clean bracket straight from the trigger
-    elif abs(g_a) <= band:
-        # Start sits on the surface (completion leg of a previous event,
-        # or an exact landing).  Walk into the step until phi picks up
-        # the sign opposite the far end; transversal exit guarantees one
-        # exists arbitrarily close to the start.
-        want_positive = g_b < 0.0
-        hi = t_b
-        found = None
-        for _ in range(60):
-            mid = 0.5 * (a_eff + hi)
-            if mid == a_eff or mid == hi:
-                break
-            fm = phi(mid)
-            if abs(fm) > band and (fm > 0.0) == want_positive:
-                found = mid
-                break
-            hi = mid
-        if found is None:
-            raise CrossingLocalizationFailed(
-                "no strictly signed point found between the surface start and the step end")
-        a_eff = found
+        t_hat = t_b
     else:
-        raise ValueError("no sign change across the step: locate_crossing needs "
-                         "strictly opposite signs at the endpoints")
-
-    t_hat = bracketed_root(phi, a_eff, t_b)
-    x_hat, inner, g_hat = leg(t_hat)
-    stats = SolveStats(iterations=n_evals, residual=abs(g_hat),
-                       contraction_estimate=inner.contraction_estimate,
-                       method_used=inner.method_used)
-    return CrossingEvent(t_hat=float(t_hat), x_hat=x_hat,
-                         residual_g=g_hat, stats_locate=stats)
+        a_eff = t_k
+        if abs(g_a) <= band:
+            # Start sits on the surface (completion leg of a previous
+            # event, or an exact landing).  Walk into the step until phi
+            # picks up the sign opposite the far end; transversal exit
+            # guarantees one exists arbitrarily close to the start.
+            hi = t_b
+            for _ in range(60):
+                mid = 0.5 * (a_eff + hi)
+                if mid == a_eff or mid == hi:
+                    break
+                fm = phi(mid)
+                if abs(fm) > band and (fm > 0.0) == (g_b < 0.0):
+                    a_eff = mid
+                    break
+                hi = mid
+            if a_eff == t_k:
+                raise CrossingLocalizationFailed(
+                    "no strictly signed point found between the surface start and the step end")
+        elif g_a * g_b > 0.0:
+            raise ValueError("no sign change across the step: locate_crossing needs "
+                             "strictly opposite signs at the endpoints")
+        t_hat = bracketed_root(phi, a_eff, t_b)
+    x_hat, inner, g_hat = legs[t_hat]
+    return CrossingEvent(t_hat=float(t_hat), x_hat=x_hat, residual_g=g_hat,
+                         stats_locate=inner._replace(iterations=n_evals, residual=abs(g_hat)))
 
 
 def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> NumericalError:

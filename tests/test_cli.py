@@ -55,6 +55,25 @@ system.omega2_minus=3.5
         cfg = build_config({"system": "elliptic", "system.radius": "2.0"})
         assert cfg.system.params["radius"] == 2.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("system,param", [("harmonic", "omega2_minus"),
+                                              ("harmonic", "omega2_plus"),
+                                              ("elliptic", "a_minus"),
+                                              ("elliptic", "a_plus"),
+                                              ("elliptic", "radius")])
+    def test_non_finite_system_parameter_is_config_error(self, tmp_path, capsys,
+                                                         system, param, value):
+        key = f"system.{param}"
+        with pytest.raises(ConfigError, match=key):
+            build_config({"system": system, key: value})
+        for command in ("integrate", "sweep", "conserve", "classify"):
+            rc = main([command, "--out", str(tmp_path / "m"), "--set", f"system={system}",
+                       "--set", f"{key}={value}", "--set", "T=0.5",
+                       "--set", "taus=0.04,0.02,0.01", "--set", "points=1,0"])
+            assert rc == 2
+            assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_mixed_schemes_per_region(self):
         cfg = build_config({"scheme.minus": "rk2", "scheme.plus": "dmm-midpoint"})
         mn, pl = cfg.schemes()

@@ -10,6 +10,7 @@ import pytest
 import pwsint.engine as engine
 from pwsint import (
     ConservedSet,
+    DiscreteVectorField,
     PwsSystem,
     RegionSide,
     SwitchingSurface,
@@ -26,6 +27,7 @@ from pwsint import (
 )
 from pwsint.engine import _solve_leg
 from pwsint.errors import (
+    CrossingLocalizationFailed,
     EvaluationError,
     FiniteTimeBlowUp,
     InvalidInitialCondition,
@@ -188,6 +190,30 @@ class TestLocateCrossing:
         # t_k and t_b by the caller, and one per solved leg
         assert len(g_args) == len(set(g_args)) == len(legs) + 2
         assert ev.residual_g == harmonic.surface.value(ev.x_hat)
+
+    @pytest.mark.parametrize("t_k, t_b, n_legs", [(0.0, 1.0, 60),
+                                                  (1.0, 1.0 + 2.0 ** -40, 12)])
+    def test_walk_in_without_a_signed_point_fails(self, t_k, t_b, n_legs):
+        # From a start on g = y = 0 only the step end moves off the
+        # surface, so every in-step leg ends on it.  The walk-in halves
+        # toward t_k 60 times, or until the midpoint rounds to an end
+        # (after 12 halvings of a step of 2**-40 at t = 1), and fails.
+        in_step = []
+
+        def evaluate(t_a, x_a, t, x):
+            if t == t_b:
+                return np.array([0.0, -1e6])
+            in_step.append(t)
+            return np.zeros(2)
+
+        dvf = DiscreteVectorField(evaluate, order=1, is_implicit=False)
+        surface = SwitchingSurface(g=lambda x: x[..., 1],
+                                   grad_g=lambda x: np.array([0.0, 1.0]))
+        x_k = np.zeros(2)
+        end = end_leg(dvf, t_k, x_k, t_b)
+        with pytest.raises(CrossingLocalizationFailed, match="no strictly signed point found"):
+            locate_crossing(dvf, surface, t_k, x_k, end, 0.0, surface.value(end[1]))
+        assert len(in_step) == n_legs
 
 
 class TestIntegrate:
@@ -1122,6 +1148,8 @@ class TestSurfaceLanding:
         ev = traj.events[0]
         assert ev.t_hat == 0.5 and ev.residual_g == 0.0
         assert ev.side_from is RegionSide.PLUS and ev.side_to is RegionSide.MINUS
+        # One evaluation of g, at the step end, and the end leg's solve.
+        assert ev.stats_locate == solvers.SolveStats(1, 0.0, 0.0, "explicit")
         np.testing.assert_allclose(traj.states[-1], [0.0, -0.5], atol=1e-14)
         # Landing at the step end leaves a zero-length completion leg.
         assert_events_complete(traj)
@@ -1142,6 +1170,26 @@ class TestSurfaceLanding:
         dvf_p = rk4_dvf(sys_.f_plus)
         with pytest.raises(NonTransversalCrossing):
             integrate(sys_, dvf_m, dvf_p, [0.0, 0.4], 0.0, 1.0, 0.3)
+
+    def test_crossing_against_the_flow_rejected(self):
+        # Both fields point up, yet the discrete field steps down: the
+        # crossing it finds at t = 0.5 classifies as an exit to the plus
+        # side, the side the step left.
+        conserved = ConservedSet(psi=lambda x: np.array([x[..., 0]]),
+                                 grad_psi=lambda x: np.array([[1.0, 0.0]]),
+                                 d_psi=1)
+        surface = SwitchingSurface(g=lambda x: x[..., 1],
+                                   grad_g=lambda x: np.array([0.0, 1.0]))
+        up = lambda t, x: np.array([0.0, 1.0])
+        sys_ = PwsSystem(dim=2, f_minus=up, f_plus=up, surface=surface,
+                         conserved_minus=conserved, conserved_plus=conserved)
+        down = DiscreteVectorField(lambda t_a, x_a, t_b, x_b: np.array([0.0, -1.0]),
+                                   order=1, is_implicit=False)
+        with pytest.raises(CrossingLocalizationFailed) as exc:
+            integrate(sys_, down, down, [0.0, 0.5], 0.0, 1.0, 0.3)
+        assert str(exc.value) == ("step 1 at t=0.3: sign change at t=0.5 contradicts "
+                                  "the flow direction (on the plus side)")
+        assert (exc.value.k, exc.value.t, exc.value.side) == (1, 0.3, RegionSide.PLUS)
 
 
 class TestConservation:

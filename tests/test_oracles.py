@@ -9,8 +9,10 @@ from pwsint import (
     elliptic_oracle,
     elliptic_system,
     harmonic_oracle,
+    integrate,
     make_system,
     reference_trajectory,
+    resolve_scheme,
 )
 from pwsint.errors import ConfigError, FiniteTimeBlowUp, InvalidInitialCondition
 from pwsint.oracles import _arc, _cubic_roots, _real_root, carlson_rf
@@ -98,6 +100,23 @@ class TestHarmonicOracle:
         oracle, _ = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 10.0)
         with pytest.raises(ValueError):
             oracle(t)
+
+    @pytest.mark.parametrize("x0", [(0.6, -0.8), (-0.6, -0.8)])
+    def test_start_below_the_surface(self, x0):
+        # The first arc starts on the minus side; its crossing time comes
+        # from the angle shifted by pi.  A dmm-midpoint run agrees with
+        # every crossing to within its O(tau^2) error.
+        tau = 1e-3
+        _, events = harmonic_oracle(3.0, 1.0, x0, 0.0, 10.0)
+        sys_ = make_system("harmonic")
+        schemes = [resolve_scheme("dmm-midpoint", sys_, side)
+                   for side in (RegionSide.MINUS, RegionSide.PLUS)]
+        traj = integrate(sys_, *schemes, x0, 0.0, 10.0, tau)
+        assert len(events) == len(traj.events) == 4
+        assert events[0].side_from is RegionSide.MINUS
+        assert events[0].side_to is RegionSide.PLUS
+        err = max(abs(ev.t_star - e.t_hat) for ev, e in zip(events, traj.events))
+        assert err <= 4.0 * tau * tau
 
     def test_parameter_override(self):
         # omega identical on both sides: plain oscillator, events pi apart
