@@ -7,29 +7,29 @@ leg from the crossing point to the step end with the other region's
 field.  Grid legs of implicit fields step by exactly ``tau``; every
 other leg (explicit, in-step, completion) steps by the difference of
 its end times.  A field with a direct ``march`` (``dmm-elliptic``)
-marches a block of up to ``MARCH_BLOCK`` grid steps in one call,
-evaluates ``g`` once on the stacked rows (``SwitchingSurface`` states
-what ``g`` must do on a stack) and commits in bulk the leading rows
-that lie strictly on its side.  The first block of a segment that
-follows a crossing is sized so that a later one ends two rows past the
-crossing step predicted by the last segment on the same side, which
-keeps the rows marched past a crossing and dropped to a few.  A
-block's crossing or landing step takes the block's next row and ``g``
-as its grid leg; other legs are solved, by a one-step march
-(a step the march could not take, or a row whose ``g`` is not finite,
-is solved again so that it raises), by explicit evaluation, or by
-fixed-point iteration with a Newton fallback, an iterated grid leg
-starting from the quintic extrapolation of the last six samples when
-they lie in the current region segment.  ``g`` is evaluated once per
-leg end and handed on.  A leg that ends off its side crosses: the sign
-change of ``g`` is localized by an outer bracketed root solve in time
-around the inner step solve, which evaluates ``g`` once per in-step
-leg it solves, and the crossing is classified with the event's own
-``g`` residual and recorded.  The completion leg starts on the
-surface, whatever that residual, and may cross again, up to a small
-cap per step.  Each step ends in one commit; a numerical failure
-inside it is re-raised with the step's index, start time and starting
-side.
+marches a block of grid steps in one call, evaluates ``g`` once on the
+stacked rows (``SwitchingSurface`` states what ``g`` must do on a
+stack) and commits in bulk the leading rows that lie strictly on its
+side.  A segment whose crossing step the last segment on the same side
+predicts is marched in one call to two rows past it, up to
+``MARCH_ROWS_MAX`` rows, which keeps both the marches and the rows
+marched past a crossing and dropped few; every other block takes
+``MARCH_BLOCK`` rows.  A block's crossing or landing step takes the
+block's next row and ``g`` as its grid leg; other legs are solved, by
+a one-step march (a step the march could not take, or a row whose
+``g`` is not finite, is solved again so that it raises), by explicit
+evaluation, or by fixed-point iteration with a Newton fallback, an
+iterated grid leg starting from the quintic extrapolation of the last
+six samples when they lie in the current region segment.  ``g`` is
+evaluated once per leg end and handed on.  A leg that ends off its
+side crosses: the sign change of ``g`` is localized by an outer
+bracketed root solve in time around the inner step solve, which
+evaluates ``g`` once per in-step leg it solves, and the crossing is
+classified with the event's own ``g`` residual and recorded.  The
+completion leg starts on the surface, whatever that residual, and may
+cross again, up to a small cap per step.  Each step ends in one
+commit; a numerical failure inside it is re-raised with the step's
+index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -81,11 +81,15 @@ MAX_CROSSINGS_PER_STEP = 4
 MAX_EVENTS = 100_000
 MAX_STEPS = 10_000_000
 
-# Grid steps per march of a field that has one (the first march of a
-# segment that follows a crossing takes 2 to 65, see _first_block).
-# Crossings on the elliptic sweep are 25 to 400 steps apart at tau 0.04
-# to 0.0025.
+# Grid steps per march of a field that has one, when no crossing is
+# predicted: in the first three segments, and after a segment's first
+# march (see _first_block).  Crossings on the elliptic sweep are 25 to
+# 400 steps apart at tau 0.04 to 0.0025.
 MARCH_BLOCK = 64
+
+# Most grid steps in one march: its temporary list of 2 * 4096 floats
+# stays under 0.3 MB, however long the segment.
+MARCH_ROWS_MAX = 4096
 
 _EXPLICIT = SolveStats(0, 0.0, 0.0, "explicit")
 _DIRECT = SolveStats(0, 0.0, 0.0, "direct")
@@ -276,20 +280,18 @@ def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> Numeric
 
 
 def _first_block(segments: list[RegionSegment]) -> int:
-    """Rows of the first march of the segment just entered: 2 to 65.
+    """Rows of the first march of the segment just entered.
 
     The last segment on the same side (sides alternate, so that is
     ``segments[-3]``) took L grid steps, the last of them its crossing
-    step; this segment's blocks of ``MARCH_BLOCK`` are aligned so that
-    one ends two rows past the same step here, row L - 1.  A first
-    block of one row takes ``MARCH_BLOCK + 1`` instead, which ends where
-    the two would have.  The first segment starts at x0, part way
-    along, and predicts nothing.
+    step; the first march takes L + 2 rows, ending two rows past the
+    same step here, row L - 1, and at most ``MARCH_ROWS_MAX``.  The
+    first segment starts at x0, part way along, and predicts nothing,
+    so the first three segments take ``MARCH_BLOCK``.
     """
     if len(segments) < 4:
         return MARCH_BLOCK
-    steps = segments[-2].start_index - segments[-3].start_index
-    return steps % MARCH_BLOCK + 2
+    return min(segments[-2].start_index - segments[-3].start_index + 2, MARCH_ROWS_MAX)
 
 
 def check_run_inputs(sys: PwsSystem, x0, t0: float, T: float, tau: float,

@@ -17,6 +17,7 @@ conserves y^2 - x^3 - a x, whose level sets are elliptic curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +35,17 @@ from .schemes import (
 )
 
 
+def _check_finite(params: dict[str, float]) -> dict[str, float]:
+    """``params``, after raising ``ConfigError`` on the first non-finite value."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"system parameter {name} must be finite, got {value!r}")
+    return params
+
+
 def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsSystem:
     """Piecewise harmonic oscillator split by the line y = 0."""
+    params = _check_finite({"omega2_minus": omega2_minus, "omega2_plus": omega2_plus})
 
     def make_field(w2):
         # (y, -w2 x) as one product: 1.0 * y is y, and (-w2) * x is
@@ -68,13 +78,14 @@ def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsS
         conserved_minus=make_conserved(omega2_minus),
         conserved_plus=make_conserved(omega2_plus),
         name="harmonic",
-        params={"omega2_minus": omega2_minus, "omega2_plus": omega2_plus},
+        params=params,
     )
 
 
 def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
                     radius: float = 1.0) -> PwsSystem:
     """Cubic system switching on a circle of the given radius."""
+    params = _check_finite({"a_minus": a_minus, "a_plus": a_plus, "radius": radius})
 
     def make_field(a):
         def f(t, x):
@@ -114,7 +125,7 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
         conserved_minus=make_conserved(a_minus),
         conserved_plus=make_conserved(a_plus),
         name="elliptic",
-        params={"a_minus": a_minus, "a_plus": a_plus, "radius": radius},
+        params=params,
     )
 
 

@@ -792,35 +792,54 @@ class TestCrossingCost:
         # the stack that probes whether g broadcasts.
         assert counts["g"] - 1 == counts["leg"] == 53
         assert counts["grad_psi"] - 1 == n
-        assert counts["g_stack"] - 1 == counts["block"] == 21
+        assert counts["g_stack"] - 1 == counts["block"] == 13
         assert svd_calls == []
 
     def test_an_elliptic_sweep_marches_few_rows_past_its_crossings(self, elliptic,
                                                                    elliptic_dmm):
         # A ratchet on the rows that blocks march past a crossing and
-        # drop: the five sweep runs need 7,750 grid steps; blocks of 64
-        # from each crossing marched 9,043 rows, and blocks aligned to
-        # the predicted crossing march 8,152.
-        steps = rows = 0
+        # drop, and on the number of blocks: the five sweep runs need
+        # 7,750 grid steps; blocks of 64 from each crossing marched 9,043
+        # rows, and a first march that ends two rows past the predicted
+        # crossing marches 8,152.  Blocks of 64 aligned to that crossing
+        # took 149 marches; one march per predicted segment takes 80.
+        steps = rows = blocks = 0
         for tau in sorted(ELLIPTIC_GOLDEN, reverse=True):
             calls = []
             schemes = (recording_march(dvf, calls) for dvf in elliptic_dmm)
             steps += len(integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau).times) - 1
             rows += sum(m for _, h, _, m in calls if h == tau)
+            blocks += sum(1 for _, _, n, _ in calls if n > 1)
         assert steps == 7750
         assert rows <= 8152
+        assert blocks <= 80
 
     def test_no_sweep_block_marches_one_row(self, elliptic, elliptic_dmm):
-        # A first block that would take one row takes MARCH_BLOCK + 1,
-        # so no march call pays for a single grid step (the sweep at
-        # tau=0.02 predicts three such blocks).
+        # A predicted segment's first march takes the predicted steps
+        # and two more, so no march call pays for a single grid step,
+        # and none takes more than MARCH_ROWS_MAX.
         for tau in sorted(ELLIPTIC_GOLDEN, reverse=True):
             calls = []
             schemes = (recording_march(dvf, calls) for dvf in elliptic_dmm)
             integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, tau)
             blocks = [n for _, h, n, _ in calls if h == tau]
             assert min(blocks) > 1
-            assert max(blocks) <= engine.MARCH_BLOCK + 1
+            assert max(blocks) <= engine.MARCH_ROWS_MAX
+
+    def test_row_cap_changes_nothing(self, elliptic, elliptic_dmm, monkeypatch):
+        # Predicted segments at tau=0.0025 take about 250 to 500 steps:
+        # with the cap at 100 their first marches are cut to 100 rows,
+        # and the run equals, bit for bit, one marched a step at a time.
+        monkeypatch.setattr(engine, "MARCH_ROWS_MAX", 100)
+        calls = []
+        recorded = tuple(recording_march(dvf, calls) for dvf in elliptic_dmm)
+        one_row = tuple(map(one_row_march, elliptic_dmm))
+        capped, single = (integrate(elliptic, *schemes, [-1.0, -1.0], 0.0, 10.0, 0.0025)
+                          for schemes in (recorded, one_row))
+        assert max(n for _, _, n, _ in calls) == 100
+        assert max(m for _, _, _, m in calls) == 100
+        assert_same_run(capped, single)
+        assert len(capped.events) == 10
 
 
 # Runs through every kind of leg of the step loop, one entry per run:

@@ -330,6 +330,18 @@ class TestTypesAndCatalog:
         with pytest.raises(ConfigError):
             make_system("harmonic", bogus=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, param", [(name, param) for name in sorted(SYSTEMS)
+                                             for param in make_system(name).params])
+    def test_non_finite_parameters_are_rejected(self, name, param, value):
+        # The factory names the parameter; a run would fail only where
+        # a field first turns non-finite (step 785 for omega2_minus=nan).
+        message = re.escape(f"system parameter {param} must be finite, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            make_system(name, **{param: value})
+        with pytest.raises(ConfigError, match=message):
+            SYSTEMS[name].factory(**{param: value})
+
     def test_params_are_read_only(self):
         # A DMM built from a changed a while the fields keep the old one
         # would drift off the conserved set and report no level residual.
