@@ -6,9 +6,10 @@ flags; a key that nothing reads is rejected, and every command is a
 function of the checked configuration alone.  With ``perturbation.p``
 set, every run of ``integrate``, ``sweep`` and ``conserve`` shifts each
 localized crossing by ``perturbation.c * tau**perturbation.p``.
-``classify`` reads its surface points from ``points=x,y;x,y``.  All
-results are written as CSV with floats at 17 significant digits so they
-round-trip exactly.
+``classify`` reads its surface points from ``points=x,y;x,y``.  Each
+result file is a CSV that ``write_csv`` writes with one ``%``-format for
+all its rows, whose ``%.17g`` fields give floats at 17 significant
+digits so they round-trip exactly.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -49,21 +50,17 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path, header: list[str], rows, row_format: str | None = None) -> None:
-    """Write a header line and one line per row.
+def write_csv(path, header: list[str], rows, row_format: str) -> None:
+    """Write a header line, then ``row_format % row`` for each row.
 
-    Without ``row_format`` floats are formatted by ``fmt`` and anything
-    else by ``str``; with it, each row is a tuple written as
-    ``row_format % row``, whose ``%.17g`` fields give the same text.
+    Each row is a tuple, and ``row_format`` formats the whole line,
+    newline included.  Its ``%.17g`` fields give a float the text of
+    ``fmt``; a cell that may be empty is passed as a string already
+    formatted by ``fmt`` and written by ``%s``.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if row_format is not None:
-            fh.writelines(map(row_format.__mod__, rows))
-            return
-        for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(map(row_format.__mod__, rows))
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -224,38 +221,29 @@ def cmd_integrate(config: ExperimentConfig) -> list[str]:
                  + ["side_from", "side_to", "residual_g", "psi_level_residual",
                     "iters_locate", "iters_complete", "perturbation_applied"])
 
-    def ev_rows():
-        for i, ev in enumerate(traj.events):
-            yield ([i, ev.t_hat] + [float(v) for v in ev.x_hat]
-                   + [ev.side_from.value, ev.side_to.value,
-                      ev.residual_g, ev.psi_level_residual,
-                      ev.stats_locate.iterations, ev.stats_complete.iterations,
-                      ev.perturbation_applied])
-
-    write_csv(ev_path, ev_header, ev_rows())
+    ev_format = ",".join(["%d"] + ["%.17g"] * (d + 1) + ["%s", "%s"]
+                         + ["%.17g"] * 2 + ["%d"] * 2 + ["%.17g"]) + "\n"
+    ev_rows = ((i, ev.t_hat, *ev.x_hat, ev.side_from.value, ev.side_to.value,
+                ev.residual_g, ev.psi_level_residual, ev.stats_locate.iterations,
+                ev.stats_complete.iterations, ev.perturbation_applied)
+               for i, ev in enumerate(traj.events))
+    write_csv(ev_path, ev_header, ev_rows, ev_format)
     return [traj_path, ev_path]
-
-
-def _reference_for(config: ExperimentConfig):
-    """Exact state function and event times from the system's oracle."""
-    sys_ = config.system
-    # A run with step tau ends at t0 + round((T - t0)/tau) * tau, which can
-    # exceed T slightly; pad the reference horizon to cover every grid end.
-    margin = max(config.taus)
-    state, events = SYSTEMS[sys_.name].oracle(sys_, config.x0, config.t0,
-                                              config.T + margin)
-    return state, [ev.t_star for ev in events]
 
 
 def cmd_sweep(config: ExperimentConfig) -> list[str]:
     """Convergence study over the configured tau list; emit <out>_order.csv."""
     if len(config.taus) < 3:
         raise ConfigError("sweep needs at least 3 values in 'taus'")
-    ref_state, ref_times = _reference_for(config)
+    sys_ = config.system
+    # A run with step tau ends at t0 + round((T - t0)/tau) * tau, which can
+    # exceed T slightly; pad the reference horizon to cover every grid end.
+    ref_state, ref_events = SYSTEMS[sys_.name].oracle(sys_, config.x0, config.t0,
+                                                      config.T + max(config.taus))
+    ref_times = [ev.t_star for ev in ref_events]
     after = config.events_after
     cols = ["final_state_error"] + [f"time_error_after_{n}" for n in after]
     rows = []
-    table: dict[str, list[float]] = {c: [] for c in cols}
     for tau in config.taus:
         traj = _run(replace(config, tau=tau))
         t_end = float(traj.times[-1])
@@ -266,20 +254,19 @@ def cmd_sweep(config: ExperimentConfig) -> list[str]:
                 errs.append(abs(traj.events[n - 1].t_hat - ref_times[n - 1]))
             else:
                 errs.append(float("nan"))
-        for c, e in zip(cols, errs):
-            table[c].append(e)
-        rows.append(["data", tau, len(traj.events)] + errs)
+        rows.append(("data", fmt(tau), len(traj.events), *errs))
     fits = []
-    for c in cols:
+    for errors in zip(*(row[3:] for row in rows)):
         try:
-            est = estimate_order(config.taus, table[c])
+            est = estimate_order(config.taus, errors)
             fits.append((est.slope, est.intercept, est.r_squared))
         except InsufficientData:
             fits.append((float("nan"),) * 3)
     for kind, row in zip(("slope", "intercept", "r_squared"), zip(*fits)):
-        rows.append([kind, "", ""] + list(row))
+        rows.append((kind, "", "", *row))
     path = f"{config.out}_order.csv"
-    write_csv(path, ["kind", "tau", "n_events"] + cols, rows)
+    write_csv(path, ["kind", "tau", "n_events"] + cols, rows,
+              "%s,%s,%s" + ",%.17g" * len(cols) + "\n")
     return [path]
 
 
@@ -288,17 +275,15 @@ def cmd_conserve(config: ExperimentConfig) -> list[str]:
     sys_ = config.system
     name = SYSTEMS[sys_.name].scheme
     path = f"{config.out}_conserve.csv"
-    header = ["t", "psi_error_dmm", "psi_error_rk2"]
-    if round((config.T - config.t0) / config.tau) == 0:
-        write_csv(path, header, [])
-        return [path]
-    traj_dmm = _run(replace(config, scheme_minus_name=name, scheme_plus_name=name))
-    traj_rk2 = _run(replace(config, scheme_minus_name="rk2", scheme_plus_name="rk2"))
-    err_dmm = conserved_error_series(traj_dmm, sys_)
-    err_rk2 = conserved_error_series(traj_rk2, sys_)
-    rows = ([float(t), float(a), float(b)]
-            for t, a, b in zip(traj_dmm.times, err_dmm, err_rk2))
-    write_csv(path, header, rows)
+    rows = []
+    # A run with no step writes the header alone.
+    if round((config.T - config.t0) / config.tau) > 0:
+        traj_dmm = _run(replace(config, scheme_minus_name=name, scheme_plus_name=name))
+        traj_rk2 = _run(replace(config, scheme_minus_name="rk2", scheme_plus_name="rk2"))
+        err_dmm = conserved_error_series(traj_dmm, sys_)
+        err_rk2 = conserved_error_series(traj_rk2, sys_)
+        rows = zip(traj_dmm.times, err_dmm, err_rk2)
+    write_csv(path, ["t", "psi_error_dmm", "psi_error_rk2"], rows, "%.17g,%.17g,%.17g\n")
     return [path]
 
 
@@ -311,20 +296,19 @@ def cmd_classify(config: ExperimentConfig) -> list[str]:
     rows = []
     for pt in config.points:
         x = np.asarray(pt, dtype=float)
-        gv = sys_.surface.value(x)
-        base = [float(v) for v in x] + [gv]
+        base = (*pt, sys_.surface.value(x))
         try:
             info = classify_interface_point(sys_, x)
-            rows.append(base + [info.a_minus, info.a_plus, info.alpha_sq_hat,
-                                info.kind.value, ""])
+            rows.append(base + (fmt(info.a_minus), fmt(info.a_plus),
+                                fmt(info.alpha_sq_hat), info.kind.value, ""))
         except ValueError:
-            rows.append(base + ["", "", "", "", "not_on_surface"])
+            rows.append(base + ("", "", "", "", "not_on_surface"))
         except PwsIntError as exc:
-            rows.append(base + ["", "", "", "", type(exc).__name__])
+            rows.append(base + ("", "", "", "", type(exc).__name__))
     path = f"{config.out}_classify.csv"
     write_csv(path, [f"x_{i+1}" for i in range(d)]
               + ["g", "a_minus", "a_plus", "alpha_sq_hat", "classification", "error"],
-              rows)
+              rows, ",".join(["%.17g"] * (d + 1) + ["%s"] * 5) + "\n")
     return [path]
 
 

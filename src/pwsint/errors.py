@@ -80,8 +80,8 @@ class InvalidInitialCondition(NumericalError):
 class StepTooLarge(NumericalError):
     """The step is too large for the state it starts from.
 
-    Raised when a step holds more interface crossings than the recursion
-    cap allows, and when the first step of a direct ``march`` finds no
+    Raised when a step holds more interface crossings than
+    ``engine.MAX_CROSSINGS_PER_STEP`` allows, and when the first step of a direct ``march`` finds no
     solution near the start state (the orbit escapes faster than the
     step can follow).
     """

@@ -86,6 +86,10 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
                     radius: float = 1.0) -> PwsSystem:
     """Cubic system switching on a circle of the given radius."""
     params = _check_finite({"a_minus": a_minus, "a_plus": a_plus, "radius": radius})
+    # g below reads only radius**2: a radius of 0 would give a point no
+    # orbit crosses, and -r the circle of radius r.
+    if not radius > 0.0:
+        raise ConfigError(f"system parameter radius must be positive, got {radius!r}")
 
     def make_field(a):
         def f(t, x):
@@ -203,7 +207,11 @@ def resolve_scheme(name: str, sys: PwsSystem, side: RegionSide) -> DiscreteVecto
     """
     spec = SYSTEMS.get(sys.name)
     if spec is not None and name == spec.scheme:
-        return spec.dmm(sys, side)
+        try:
+            return spec.dmm(sys, side)
+        except KeyError as exc:
+            raise ConfigError(f"scheme {name!r} needs system parameter {exc.args[0]}, "
+                              f"missing from the params of system {sys.name!r}") from None
     if name not in _GENERIC_SCHEMES:
         available = set(_GENERIC_SCHEMES) | ({spec.scheme} if spec else set())
         raise ConfigError(f"unknown scheme {name!r} for system {sys.name!r}; "

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import inspect
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from pwsint import cli, conserved_error_series, integrate
+from pwsint import cli, classify_interface_point, conserved_error_series, integrate
 from pwsint.cli import build_config, main, parse_kv_file
 from pwsint.errors import ConfigError
 from pwsint.systems import SYSTEMS
@@ -15,6 +17,17 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def per_cell_lines(rows):
+    """Rows formatted a cell at a time: ``fmt`` for floats, ``str`` for the rest."""
+    return [",".join(cli.fmt(v) if isinstance(v, float) else str(v) for v in row)
+            for row in rows]
+
+
+def data_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()[1:]
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -72,6 +85,18 @@ system.omega2_minus=3.5
                        "--set", "taus=0.04,0.02,0.01", "--set", "points=1,0"])
             assert rc == 2
             assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "-0", "-1"])
+    def test_non_positive_radius_is_config_error(self, tmp_path, capsys, value):
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            build_config({"system": "elliptic", "system.radius": value})
+        for command in ("integrate", "sweep", "conserve", "classify"):
+            rc = main([command, "--out", str(tmp_path / "m"), "--set", "system=elliptic",
+                       "--set", f"system.radius={value}", "--set", "T=0.5",
+                       "--set", "taus=0.04,0.02,0.01", "--set", "points=1,0"])
+            assert rc == 2
+            assert "radius must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_mixed_schemes_per_region(self):
@@ -226,6 +251,20 @@ class TestIntegrateCommand:
         assert len(traj.region_segments) >= 4 and len(want) > 3 * cli._WRITE_CHUNK
         assert got == want
 
+    def test_event_rows_match_per_cell_formatting(self, tmp_path):
+        out = str(tmp_path / "e")
+        settings = {"system": "elliptic", "T": "10", "tau": "1e-2", "perturbation.p": "2"}
+        argv = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
+        assert main(["integrate", "--out", out] + argv) == 0
+        traj = cli._run(build_config(settings))
+        rows = [[i, ev.t_hat] + [float(v) for v in ev.x_hat]
+                + [ev.side_from.value, ev.side_to.value, ev.residual_g,
+                   ev.psi_level_residual, ev.stats_locate.iterations,
+                   ev.stats_complete.iterations, ev.perturbation_applied]
+                for i, ev in enumerate(traj.events)]
+        assert len(rows) == 10
+        assert data_lines(f"{out}_events.csv") == per_cell_lines(rows)
+
     def test_zero_crossing_run_empty_events(self, tmp_path):
         out = str(tmp_path / "z")
         rc = main(["integrate", "--out", out, "--set", "x0=0.1,0.1",
@@ -344,6 +383,22 @@ class TestSweepCommands:
             "got c=1.0, p=-110.0 at tau=0.001\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_order_cells_read_back_through_fmt(self, tmp_path):
+        # The elliptic run has 10 crossings, so the time_error_after_40
+        # column and its three fits are nan.
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--out", out, "--set", "system=elliptic",
+                     "--set", "taus=0.04,0.02,0.01", "--set", "events_after=10,40"]) == 0
+        header, rows = read_csv(f"{out}_order.csv")
+        assert header == ["kind", "tau", "n_events", "final_state_error",
+                          "time_error_after_10", "time_error_after_40"]
+        assert [r[0] for r in rows] == ["data"] * 3 + ["slope", "intercept", "r_squared"]
+        assert [r[1:3] for r in rows[:3]] == [[cli.fmt(t), "10"] for t in (0.04, 0.02, 0.01)]
+        for row in rows:
+            assert all(cli.fmt(float(c)) == c for c in row[3:] + row[1:2] if c)
+            assert row[5] == "nan"
+        assert [r[1:3] for r in rows[3:]] == [["", ""]] * 3
+
     def test_perturb_is_not_a_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--out", str(tmp_path / "x"),
@@ -373,6 +428,25 @@ class TestConserveCommand:
         assert rows == []
 
 
+    @pytest.mark.parametrize("T", ["5", "0"])
+    def test_rows_match_per_cell_formatting(self, tmp_path, T):
+        out = str(tmp_path / "c")
+        assert main(["conserve", "--out", out, "--set", f"T={T}"]) == 0
+        config = build_config({"T": T})
+        rows = []
+        if T != "0":
+            trajs = [cli._run(dataclasses.replace(config, scheme_minus_name=name,
+                                                  scheme_plus_name=name))
+                     for name in ("dmm-midpoint", "rk2")]
+            errs = [conserved_error_series(traj, config.system) for traj in trajs]
+            rows = [[float(t), float(a), float(b)]
+                    for t, a, b in zip(trajs[0].times, *errs)]
+            assert len(rows) == 5001
+        with open(f"{out}_conserve.csv", encoding="utf-8") as fh:
+            assert fh.read().splitlines() == (["t,psi_error_dmm,psi_error_rk2"]
+                                              + per_cell_lines(rows))
+
+
 class TestClassifyCommand:
     def test_rows_for_surface_points(self, tmp_path):
         out = str(tmp_path / "k")
@@ -385,6 +459,26 @@ class TestClassifyCommand:
         assert rows[0][6] == "transversal_down" and rows[0][7] == ""
         assert rows[1][6] == "transversal_up"
         assert rows[2][7] != ""  # (1, 1) is not on the surface
+
+    def test_rows_match_per_cell_formatting(self, tmp_path):
+        # Two transversal points, one off the surface and one where both
+        # fields vanish.
+        out = str(tmp_path / "k")
+        assert main(["classify", "--out", out,
+                     "--set", "points=1.41,0;-1.41,0;1,1;0,0"]) == 0
+        sys_ = build_config({}).system
+        rows = []
+        for pt, error in [((1.41, 0.0), ""), ((-1.41, 0.0), ""),
+                          ((1.0, 1.0), "not_on_surface"), ((0.0, 0.0), "DegenerateTangency")]:
+            x = np.asarray(pt)
+            row = list(pt) + [sys_.surface.value(x)]
+            if error:
+                rows.append(row + ["", "", "", "", error])
+                continue
+            info = classify_interface_point(sys_, x)
+            rows.append(row + [info.a_minus, info.a_plus, info.alpha_sq_hat,
+                               info.kind.value, ""])
+        assert data_lines(f"{out}_classify.csv") == per_cell_lines(rows)
 
     def test_classify_needs_points(self, tmp_path):
         rc = main(["classify", "--out", str(tmp_path / "k")])

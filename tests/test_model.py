@@ -342,6 +342,25 @@ class TestTypesAndCatalog:
         with pytest.raises(ConfigError, match=message):
             SYSTEMS[name].factory(**{param: value})
 
+    @pytest.mark.parametrize("radius", [0.0, -0.0, -1.0])
+    def test_non_positive_radius_is_rejected(self, radius):
+        message = re.escape(f"system parameter radius must be positive, got {radius!r}")
+        with pytest.raises(ConfigError, match=message):
+            make_system("elliptic", radius=radius)
+        with pytest.raises(ConfigError, match=message):
+            SYSTEMS["elliptic"].factory(radius=radius)
+
+    @pytest.mark.parametrize("side, param", [(RegionSide.MINUS, "a_minus"),
+                                             (RegionSide.PLUS, "a_plus")])
+    def test_dmm_without_its_parameter_is_config_error(self, side, param):
+        params = {k: v for k, v in make_system("elliptic").params.items() if k != param}
+        sys_ = dataclasses.replace(make_system("elliptic"), params=params)
+        with pytest.raises(ConfigError, match=f"'dmm-elliptic' needs system parameter {param},"):
+            resolve_scheme("dmm-elliptic", sys_, side)
+        # The other side's parameter is still there.
+        other = RegionSide.PLUS if side is RegionSide.MINUS else RegionSide.MINUS
+        assert resolve_scheme("dmm-elliptic", sys_, other).name == "dmm-elliptic"
+
     def test_params_are_read_only(self):
         # A DMM built from a changed a while the fields keep the old one
         # would drift off the conserved set and report no level residual.
