@@ -1,9 +1,7 @@
 """Conservative event-driven integration of piecewise-smooth ODEs."""
 
 from .diagnostics import (
-    BoundReport,
     OrderEstimate,
-    check_crossing_bound,
     conserved_error_series,
     crossing_time_errors,
     discrete_transversality,
@@ -52,10 +50,10 @@ from .solvers import (
 from .systems import elliptic_system, harmonic_system, make_system, resolve_scheme
 
 __all__ = [
-    "BoundReport", "Classification", "ConservedSet", "CrossingEvent",
+    "Classification", "ConservedSet", "CrossingEvent",
     "DiscreteVectorField", "EllipticOracle", "HarmonicOracle", "OracleEvent",
     "OrderEstimate", "PwsSystem", "RegionSegment", "RegionSide", "SolveStats",
-    "SwitchingSurface", "Trajectory", "bracketed_root", "check_crossing_bound",
+    "SwitchingSurface", "Trajectory", "bracketed_root",
     "classify_interface_point", "conserved_error_series",
     "crossing_time_errors", "discrete_transversality",
     "elliptic_dmm_dvf", "elliptic_oracle", "elliptic_system", "estimate_order",

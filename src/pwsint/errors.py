@@ -101,7 +101,3 @@ class EventMismatch(NumericalError):
 
 class InsufficientData(PwsIntError):
     """Not enough usable points for a regression or estimate."""
-
-
-class UnsupportedSystem(PwsIntError):
-    """The requested diagnostic needs data the system does not provide."""

@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTangency, EvaluationError
+from .errors import ConfigError, DegenerateTangency, EvaluationError
 
 Array = np.ndarray
 StateFunc = Callable[[Array], float]
@@ -46,7 +46,7 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class SwitchingSurface:
-    """Scalar switching function g with its gradient and optional Hessian.
+    """Scalar switching function g with its gradient.
 
     ``on_surface_tol`` (fixed) is the absolute half-width of the band
     |g| <= tol inside which a point counts as numerically on the surface.
@@ -78,7 +78,6 @@ class SwitchingSurface:
 
     g: StateFunc
     grad_g: Callable[[Array], Array]
-    hess_g: Callable[[Array], Array] | None = None
     on_surface_tol: ClassVar[float] = 1e-12
 
     def value(self, x: Array) -> float:
@@ -105,14 +104,6 @@ class SwitchingSurface:
         if not np.all(np.isfinite(gr)):
             raise EvaluationError(f"grad g is not finite at x={x!r}")
         return gr
-
-    def hessian(self, x: Array) -> Array:
-        if self.hess_g is None:
-            raise EvaluationError("surface has no Hessian")
-        H = np.asarray(self.hess_g(x), dtype=float)
-        if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(H).max())):
-            raise EvaluationError("Hessian of g is not symmetric")
-        return H
 
     def check_gradient_nonzero(self, x: Array) -> Array:
         """Runtime guard: grad g must not vanish near the surface; returns it."""
@@ -205,6 +196,15 @@ class PwsSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def param(self, name: str, user: str) -> float:
+        """``params[name]``; a missing one raises ``ConfigError`` naming it,
+        the system and ``user``, the part that needs it."""
+        try:
+            return self.params[name]
+        except KeyError:
+            raise ConfigError(f"{user} needs system parameter {name}, "
+                              f"missing from the params of system {self.name!r}") from None
 
     def field(self, side: RegionSide) -> VectorField:
         if side is RegionSide.MINUS:

@@ -464,8 +464,9 @@ class EllipticOracle:
 
 def elliptic_oracle(sys: PwsSystem, x0, t0: float, T: float,
                     ) -> tuple[EllipticOracle, list[OracleEvent]]:
-    p = sys.params
-    oracle = EllipticOracle(p["a_minus"], p["a_plus"], p["radius"], x0, t0, T)
+    user = "the elliptic oracle"
+    oracle = EllipticOracle(sys.param("a_minus", user), sys.param("a_plus", user),
+                            sys.param("radius", user), x0, t0, T)
     return oracle, oracle.events
 
 

@@ -68,7 +68,6 @@ def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsS
     surface = SwitchingSurface(
         g=lambda x: x[..., 1],
         grad_g=lambda x: np.array([0.0, 1.0]),
-        hess_g=lambda x: np.zeros((2, 2)),
     )
     return PwsSystem(
         dim=2,
@@ -119,7 +118,6 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
     surface = SwitchingSurface(
         g=g,
         grad_g=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
-        hess_g=lambda x: 2.0 * np.eye(2),
     )
     return PwsSystem(
         dim=2,
@@ -140,12 +138,14 @@ def _harmonic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
 
 
 def _elliptic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
-    a = sys.params["a_minus" if side is RegionSide.MINUS else "a_plus"]
+    a = sys.param("a_minus" if side is RegionSide.MINUS else "a_plus", "scheme 'dmm-elliptic'")
     return elliptic_dmm_dvf(a, conserves=sys.conserved(side))
 
 
 def _harmonic_oracle(sys: PwsSystem, x0, t0: float, T: float):
-    return harmonic_oracle(sys.params["omega2_minus"], sys.params["omega2_plus"], x0, t0, T)
+    user = "the harmonic oracle"
+    return harmonic_oracle(sys.param("omega2_minus", user), sys.param("omega2_plus", user),
+                           x0, t0, T)
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,8 @@ class SystemSpec:
     ``march``); ``dmm-elliptic`` has one, built from the region's ``a``.
     ``oracle(sys, x0, t0, T)`` returns the exact solution as a state
     function of t and its crossings up to T; it reads only ``sys.params``.
+    Both read the parameters through ``PwsSystem.param``, so a missing
+    one is a ``ConfigError`` that names it.
     """
 
     factory: Callable[..., PwsSystem]
@@ -207,11 +209,7 @@ def resolve_scheme(name: str, sys: PwsSystem, side: RegionSide) -> DiscreteVecto
     """
     spec = SYSTEMS.get(sys.name)
     if spec is not None and name == spec.scheme:
-        try:
-            return spec.dmm(sys, side)
-        except KeyError as exc:
-            raise ConfigError(f"scheme {name!r} needs system parameter {exc.args[0]}, "
-                              f"missing from the params of system {sys.name!r}") from None
+        return spec.dmm(sys, side)
     if name not in _GENERIC_SCHEMES:
         available = set(_GENERIC_SCHEMES) | ({spec.scheme} if spec else set())
         raise ConfigError(f"unknown scheme {name!r} for system {sys.name!r}; "

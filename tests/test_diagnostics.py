@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from pwsint import (
-    check_crossing_bound,
+    RegionSide,
     conserved_error_series,
     crossing_time_errors,
     discrete_transversality,
-    elliptic_oracle,
     estimate_order,
     harmonic_oracle,
     integrate,
+    make_system,
+    resolve_scheme,
 )
-from pwsint.engine import Trajectory
-from pwsint.errors import (EvaluationError, EventMismatch, InsufficientData,
-                           UnsupportedSystem)
-from pwsint.model import ConservedSet, PwsSystem, SwitchingSurface
-from pwsint.oracles import OracleEvent
-
+from pwsint.errors import EvaluationError, EventMismatch, InsufficientData
+from pwsint.model import ConservedSet
+from pwsint.systems import SYSTEMS
 
 
 class TestEstimateOrder:
@@ -122,85 +120,37 @@ class TestCrossingTimeErrors:
         assert crossing_time_errors(traj, []).shape == (0,)
 
 
-class TestCrossingBound:
-    def test_harmonic_continuous_bound(self, harmonic, harmonic_dmm):
-        # g = y is linear (zero Hessian): the sampled curvature constant is
-        # tiny and the bound reduces to L_g * |dx| / alpha^2 with L_g = 1
-        # and alpha^2 = sqrt(2) at the first crossing.
-        traj = integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1],
-                         [1.0, 1.0], 0.0, 10.0, 1e-3)
-        oracle, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 10.0)
-        for ev, ov in zip(traj.events, oracle_events):
-            rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
-                                       harmonic_dmm[0], harmonic_dmm[1],
-                                       oracle_state=oracle)
-            assert rep.satisfied, rep
-            assert rep.variant == "continuous"
-            assert math.isclose(rep.L_g_hat, 1.0, rel_tol=1e-12)
-        first = check_crossing_bound(traj, harmonic, traj.events[0],
-                                     oracle_events[0].t_star,
-                                     harmonic_dmm[0], harmonic_dmm[1],
-                                     oracle_state=oracle)
-        assert math.isclose(first.alpha_sq_hat, math.sqrt(2.0), rel_tol=1e-6)
-        assert first.M_hat < 0.05  # near zero: sampled |omega^2 y| close to S
+class TestTransitionStepLocalError:
+    # The step that crosses the surface has local error O(tau^3) with the
+    # second-order conservative schemes, whatever the position theta of
+    # the crossing inside the step (Mannshardt, Numer. Math. 31, 1978):
+    # the per-step fact behind order two across many crossings.  Each
+    # step starts on the exact orbit, theta * tau before the third exact
+    # crossing, and ends against the exact state.
+    THETAS = np.linspace(0.02, 0.98, 49)
+    TAUS = (0.02, 0.01, 0.005, 0.0025)
 
-    def test_elliptic_discrete_bound(self, elliptic, elliptic_dmm):
-        # Curved interface (Hessian 2I): discrete analogue with M sampled
-        # from the discrete fields, reference times from the exact oracle.
-        traj = integrate(elliptic, elliptic_dmm[0], elliptic_dmm[1],
-                         [-1.0, -1.0], 0.0, 3.0, 1e-3)
-        _, ref_events = elliptic_oracle(elliptic, [-1.0, -1.0], 0.0, 3.0)
-        assert len(traj.events) == len(ref_events) >= 3
-        for ev, ov in zip(traj.events, ref_events):
-            rep = check_crossing_bound(traj, elliptic, ev, ov.t_star,
-                                       elliptic_dmm[0], elliptic_dmm[1])
-            assert rep.satisfied, rep
-            assert rep.variant == "discrete"
-            assert rep.M_hat > 0.0
-            assert 1.9 < rep.L_g_hat < 2.3  # |grad g| = 2|x| near the unit circle
-
-    def test_sample_without_same_side_neighbour_is_skipped(self, harmonic, harmonic_dmm):
-        # At tau=1.2 the segments start at steps 0, 1, 3, ...: sample 0 is
-        # alone on its side in the window of the first event, so the
-        # curvature proxy has no difference there and skips it.
-        traj = integrate(harmonic, harmonic_dmm[0], harmonic_dmm[1],
-                         [1.0, 1.0], 0.0, 20.0, 1.2)
-        oracle, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 20.0)
-        assert [seg.start_index for seg in traj.region_segments[:3]] == [0, 1, 3]
-        assert len(traj.events) == len(oracle_events) == 8
-        for ev, ov in zip(traj.events, oracle_events):
-            rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
-                                       harmonic_dmm[0], harmonic_dmm[1],
-                                       oracle_state=oracle)
-            assert rep.satisfied, rep
-            assert rep.variant == "continuous"
-
-    def test_reference_after_the_computed_crossing(self, harmonic, harmonic_rk2):
-        # rk2 at tau=0.1 localizes every crossing before the exact one, so
-        # the reference state comes from the completion leg.
-        traj = integrate(harmonic, harmonic_rk2[0], harmonic_rk2[1],
-                         [1.0, 1.0], 0.0, 20.0, 0.1)
-        _, oracle_events = harmonic_oracle(3.0, 1.0, [1.0, 1.0], 0.0, 20.0)
-        assert len(traj.events) == len(oracle_events) == 8
-        for ev, ov in zip(traj.events, oracle_events):
-            assert ov.t_star > ev.t_hat
-            rep = check_crossing_bound(traj, harmonic, ev, ov.t_star,
-                                       harmonic_rk2[0], harmonic_rk2[1])
-            assert rep.satisfied, rep
-            assert rep.variant == "discrete"
-
-    def test_missing_hessian_rejected(self, harmonic, harmonic_dmm):
-        bare_surface = SwitchingSurface(g=harmonic.surface.g,
-                                        grad_g=harmonic.surface.grad_g)
-        bare = PwsSystem(dim=2, f_minus=harmonic.f_minus, f_plus=harmonic.f_plus,
-                         surface=bare_surface,
-                         conserved_minus=harmonic.conserved_minus,
-                         conserved_plus=harmonic.conserved_plus)
-        traj = integrate(bare, harmonic_dmm[0], harmonic_dmm[1],
-                         [1.0, 1.0], 0.0, 1.0, 1e-3)
-        with pytest.raises(UnsupportedSystem):
-            check_crossing_bound(traj, bare, traj.events[0], math.pi / 4,
-                                 harmonic_dmm[0], harmonic_dmm[1])
+    @pytest.mark.parametrize("name, bound", [("harmonic", 1.2), ("elliptic", 1.5)])
+    def test_uniform_in_the_crossing_position(self, name, bound):
+        spec = SYSTEMS[name]
+        sys_ = make_system(name)
+        minus, plus = (resolve_scheme(spec.scheme, sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS))
+        oracle, events = spec.oracle(sys_, spec.x0, 0.0, 10.0)
+        t_star = events[2].t_star
+        worst = []
+        for tau in self.TAUS:
+            scaled = []
+            for theta in self.THETAS:
+                t0 = t_star - theta * tau
+                traj = integrate(sys_, minus, plus, oracle(t0), t0, t0 + tau, tau)
+                assert len(traj.events) == 1, (tau, theta)
+                err = np.linalg.norm(traj.states[-1] - oracle(traj.times[-1]))
+                scaled.append(err / tau ** 3)
+            worst.append(max(scaled))
+        assert max(worst) < bound, worst
+        for coarse, fine in zip(worst, worst[1:]):
+            assert abs(fine / coarse - 1.0) < 0.05, worst
 
 
 class TestDiscreteTransversality:

@@ -202,8 +202,7 @@ class TestClassify:
 
     def test_invariant_under_positive_rescaling(self, harmonic):
         scaled_surface = SwitchingSurface(g=lambda x: 2.0 * x[..., 1],
-                                          grad_g=lambda x: np.array([0.0, 2.0]),
-                                          hess_g=lambda x: np.zeros((2, 2)))
+                                          grad_g=lambda x: np.array([0.0, 2.0]))
         scaled = PwsSystem(dim=2, f_minus=harmonic.f_minus, f_plus=harmonic.f_plus,
                            surface=scaled_surface,
                            conserved_minus=harmonic.conserved_minus,
@@ -227,12 +226,6 @@ class TestClassify:
 
 
 class TestTypesAndCatalog:
-    def test_hessian_symmetry_guard(self):
-        surface = SwitchingSurface(g=lambda x: x[1], grad_g=lambda x: np.array([0.0, 1.0]),
-                                   hess_g=lambda x: np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(EvaluationError):
-            surface.hessian(np.zeros(2))
-
     def test_stack_values_of_catalog_surfaces(self, harmonic, elliptic):
         states = np.array([[1.0, 2.0], [-0.5, 0.25], [0.0, -3.0]])
         for sys_ in (harmonic, elliptic):
@@ -360,6 +353,16 @@ class TestTypesAndCatalog:
         # The other side's parameter is still there.
         other = RegionSide.PLUS if side is RegionSide.MINUS else RegionSide.MINUS
         assert resolve_scheme("dmm-elliptic", sys_, other).name == "dmm-elliptic"
+
+    @pytest.mark.parametrize("name, param", [("harmonic", "omega2_minus"),
+                                             ("elliptic", "a_minus")])
+    def test_oracle_without_its_parameters_is_config_error(self, name, param):
+        spec = SYSTEMS[name]
+        sys_ = dataclasses.replace(make_system(name), params={})
+        message = (f"the {name} oracle needs system parameter {param}, "
+                   f"missing from the params of system '{name}'")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            spec.oracle(sys_, spec.x0, 0.0, 1.0)
 
     def test_params_are_read_only(self):
         # A DMM built from a changed a while the fields keep the old one
