@@ -18,9 +18,10 @@ marched past a crossing and dropped few; every other block takes
 block's next row and ``g`` as its grid leg; other legs are solved, by
 a one-step march (a step the march could not take, or a row whose
 ``g`` is not finite, is solved again so that it raises), by explicit
-evaluation, or by fixed-point iteration with a Newton fallback, an
-iterated grid leg starting from the quintic extrapolation of the last
-six samples when they lie in the current region segment.  ``g`` is
+evaluation, or by Anderson-accelerated fixed-point iteration
+(``solvers.fixed_point``) with a Newton fallback, an iterated grid leg
+starting from the quintic extrapolation of the last six samples when
+they lie in the current region segment.  ``g`` is
 evaluated once per leg end and handed on.  A leg that ends off its
 side crosses: the sign change of ``g`` is localized by an outer
 bracketed root solve in time around the inner step solve, which
@@ -166,17 +167,21 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     """Solve x = x_a + h * dvf(t_a, x_a, t_b, x) for x, h = t_b - t_a by default.
 
     Explicit fields evaluate directly over t_b - t_a.  Implicit ones
-    with a direct ``march`` take one march step of h; the others iterate
-    from ``guess``, else from the Euler predictor (O(h^2) off), with a
-    Newton fallback from the same start.  A grid leg passes ``h=tau``,
-    which its rounded end times miss by up to ulp(t), and an iterated
-    one the quintic extrapolation of the six samples up to x_a, O(h^6)
-    off (Hairer & Wanner, Solving ODEs II, section IV.8).
+    with a direct ``march`` take one march step of h.  The others solve
+    the step map by ``fixed_point``, whose Anderson mixing takes about
+    four updates on a coarse step (tau 0.05 to 0.1) where plain updates
+    take eight.  They start from ``guess``, else from the Euler
+    predictor (O(h^2) off), and fall back to Newton from the same start
+    when the map diverges or has not converged after
+    NEWTON_FALLBACK_AFTER updates.  A grid leg passes ``h=tau``, which
+    its rounded end times miss by up to ulp(t), and an iterated one the
+    quintic extrapolation of the six samples up to x_a, O(h^6) off
+    (Hairer & Wanner, Solving ODEs II, section IV.8).
     """
     if t_b == t_a:
         return x_a.copy(), _EXPLICIT
     if not dvf.is_implicit:
-        return x_a + (t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
+        return x_a + np.array(t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
     if h is None:
         h = t_b - t_a
     if dvf.march is not None:

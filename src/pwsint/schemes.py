@@ -44,6 +44,8 @@ MarchFunc = Callable[[float, Array, float, int], Array]
 # An array times a 0-d array costs about half what it costs times a
 # Python float, and rounds the same.
 _HALF = np.array(0.5)
+_TWO = np.array(2.0)
+_SIX = np.array(6.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def rk2_dvf(f: VectorField) -> DiscreteVectorField:
 
     def evaluate(t_a, x_a, t_b, x_b):
         h = t_b - t_a
-        return f(t_a + 0.5 * h, x_a + 0.5 * h * f(t_a, x_a))
+        return f(t_a + 0.5 * h, x_a + np.array(0.5 * h) * f(t_a, x_a))
 
     return DiscreteVectorField(evaluate, order=2, is_implicit=False, name="rk2")
 
@@ -149,10 +151,12 @@ def rk4_dvf(f: VectorField) -> DiscreteVectorField:
 
     def evaluate(t_a, x_a, t_b, x_b):
         h = t_b - t_a
+        t_mid = t_a + 0.5 * h
+        half_h = np.array(0.5 * h)
         k1 = f(t_a, x_a)
-        k2 = f(t_a + 0.5 * h, x_a + 0.5 * h * k1)
-        k3 = f(t_a + 0.5 * h, x_a + 0.5 * h * k2)
-        k4 = f(t_b, x_a + h * k3)
-        return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        k2 = f(t_mid, x_a + half_h * k1)
+        k3 = f(t_mid, x_a + half_h * k2)
+        k4 = f(t_b, x_a + np.array(h) * k3)
+        return (k1 + _TWO * k2 + _TWO * k3 + k4) / _SIX
 
     return DiscreteVectorField(evaluate, order=4, is_implicit=False, name="rk4")

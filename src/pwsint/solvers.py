@@ -1,9 +1,11 @@
 """Nonlinear solvers used by the implicit stepping machinery.
 
-Small, dense, deterministic: fixed-point iteration with contraction
-monitoring, undamped Newton with a forward-difference Jacobian, a
-Brent-style bracketed scalar root finder, and a root bound for the
-quadratic inequalities that appear in crossing-time estimates.
+Small, dense, deterministic: fixed-point iteration accelerated by
+Anderson mixing of memory two once the map shows contraction, with a
+monitor that flags an expanding map; undamped Newton with a
+forward-difference Jacobian; a Brent-style bracketed scalar root
+finder; and a root bound for the quadratic inequalities that appear in
+crossing-time estimates.
 
 All functions are pure with respect to their inputs and safe to call
 concurrently.
@@ -12,6 +14,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,12 +40,19 @@ FP_MAX_ITER = 100  # default fixed-point cap, and the Newton cap
 ROOT_MAX_ITER = 200
 FD_JACOBIAN_STEP = math.sqrt(_EPS)
 
+# Two difference pairs are mixed together only while the sine squared of
+# the angle between their df exceeds this; below, their 2x2 normal
+# equations lose most digits to cancellation.
+_GRAM_MIN = 1e-8
+
 
 class SolveStats(NamedTuple):
     """What a solve cost and how it behaved.
 
-    ``contraction_estimate`` is the last observed ratio of successive
-    update norms; values below one indicate the iteration contracted.
+    ``contraction_estimate`` is, for a fixed-point solve, the ratio of
+    its first two update norms, both plain updates (0.0 after one
+    update); values below one indicate that the map contracts.  For a
+    Newton solve it is the last ratio of successive step norms.
     A leg solved in closed form by the field's own ``march`` reports
     ``"direct"`` with no iterations.  A named tuple, immutable and
     compared field by field, because every iterated leg builds one: it
@@ -57,33 +67,91 @@ class SolveStats(NamedTuple):
 
 def fixed_point(map_: Callable[[Array], Array], x0: Array,
                 max_iter: int = FP_MAX_ITER) -> tuple[Array, SolveStats]:
-    """Iterate x <- map(x) until the update is below the mixed tolerance.
+    """Solve x = map(x) by Anderson-accelerated fixed-point iteration.
 
-    The observed Lipschitz ratio of successive updates is monitored; a
-    ratio >= 1 sustained over five iterations aborts with
-    DivergingFixedPoint, which for step maps signals that the step size
-    exceeds the contraction restriction.
+    Each update evaluates the map at the current iterate; the solve
+    stops at the first update below the mixed tolerance and returns that
+    map image.  The first two updates are plain (x <- map(x)), and their
+    ratio is the map's observed contraction.  Only a contracting map is
+    mixed: from the third update on, while the last update ratio r
+    predicts at least three more plain updates (r^2 * update above the
+    tolerance), the next iterate is the type-II Anderson mix of memory
+    two (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which generically
+    solves an affine map in two dimensions exactly from three updates.
+    Any other solve takes exactly the plain iterates.  A mixed iterate
+    whose update is not smaller than the one before ends the mixing for
+    the rest of the solve.
+
+    The observed ratio of successive update norms is monitored; a ratio
+    >= 1 sustained over five updates aborts with DivergingFixedPoint,
+    which for step maps signals that the step size exceeds the
+    contraction restriction.
     """
     x = np.asarray(x0, dtype=float)
     prev_delta = -1.0
     contraction = 0.0
     expanding = 0
+    mixing = mixed = False  # mixing may pay; x is a mixed iterate
+    last = None  # the (map image, update) pair before this update's
     for it in range(1, max_iter + 1):
-        x_new = np.asarray(map_(x), dtype=float)
-        diff = x_new - x
-        delta = math.sqrt(diff.dot(diff))
+        g = np.asarray(map_(x), dtype=float)
+        f = g - x
+        delta = math.sqrt(f.dot(f))
         if prev_delta > 0.0:
-            contraction = delta / prev_delta
-            expanding = expanding + 1 if contraction >= 1.0 else 0
+            ratio = delta / prev_delta
+            expanding = expanding + 1 if ratio >= 1.0 else 0
             if expanding >= 5:
                 raise DivergingFixedPoint(
-                    f"update ratio {contraction:.3g} >= 1 sustained over 5 iterations")
-        # delta <= FP_TOL passes the mixed test whatever |x_new|.
-        if delta <= FP_TOL or delta <= FP_TOL * (1.0 + math.sqrt(x_new.dot(x_new))):
-            return x_new, SolveStats(it, delta, contraction, "fixed_point")
+                    f"update ratio {ratio:.3g} >= 1 sustained over 5 iterations")
+            if it == 2:
+                contraction = ratio
+                mixing = ratio < 1.0
+            elif mixed and ratio >= 1.0:
+                mixing = False  # the mix did not pay: plain updates from here on
+        # delta <= FP_TOL passes the mixed test whatever |g|.
+        if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.sqrt(g.dot(g)))):
+            return g, SolveStats(it, delta, contraction, "fixed_point")
+        x = g
+        if mixing and it > 2 and ratio * ratio * delta > tol:
+            x = _anderson_mix(g, f, last, before_last)
+        mixed = x is not g
         prev_delta = delta
-        x = x_new
+        before_last, last = last, (g, f)
     raise NoConvergence(f"fixed point not converged in {max_iter} iterations")
+
+
+def _anderson_mix(g: Array, f: Array, last: tuple[Array, Array],
+                  before_last: tuple[Array, Array]) -> Array:
+    """The type-II Anderson iterate of memory two after the map image g.
+
+    ``f`` is g's update, and ``last`` and ``before_last`` the (map
+    image, update) pairs of the two updates before.  With the
+    differences dg_i, df_i of consecutive pairs, returns
+    g - c_1 dg_1 - c_2 dg_2 for the c minimizing |f - c_1 df_1 - c_2 df_2|,
+    its 2x2 normal equations solved by Cramer's rule in Python floats.
+    When their Gram determinant is not safely positive (always in one
+    dimension), the latest difference alone gives the secant step; when
+    its df is zero as well, g itself is returned.
+    """
+    gl, fl = g.tolist(), f.tolist()
+    g1, f1 = last[0].tolist(), last[1].tolist()
+    g0, f0 = before_last[0].tolist(), before_last[1].tolist()
+    dg1, df1 = list(map(sub, g1, g0)), list(map(sub, f1, f0))
+    dg2, df2 = list(map(sub, gl, g1)), list(map(sub, fl, f1))
+    a11 = sum(map(mul, df1, df1))
+    a12 = sum(map(mul, df1, df2))
+    a22 = sum(map(mul, df2, df2))
+    b1 = sum(map(mul, df1, fl))
+    b2 = sum(map(mul, df2, fl))
+    det = a11 * a22 - a12 * a12
+    if det > _GRAM_MIN * (a11 * a22):
+        c1 = (a22 * b1 - a12 * b2) / det
+        c2 = (a11 * b2 - a12 * b1) / det
+        return np.array([gi - c1 * u - c2 * v for gi, u, v in zip(gl, dg1, dg2)])
+    if a22 > 0.0:
+        c2 = b2 / a22
+        return np.array([gi - c2 * v for gi, v in zip(gl, dg2)])
+    return g
 
 
 def _fd_jacobian(F: Callable[[Array], Array], x: Array, Fx: Array) -> Array:

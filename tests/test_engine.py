@@ -17,6 +17,7 @@ from pwsint import (
     conserved_error_series,
     elliptic_oracle,
     harmonic_oracle,
+    harmonic_system,
     integrate,
     locate_crossing,
     resolve_scheme,
@@ -1058,6 +1059,29 @@ class TestStartingValue:
         for leg in cold + other:
             assert leg["start"] is None
             np.testing.assert_array_equal(leg["guess"], euler_predictor(leg))
+
+    def test_coarse_steps_average_at_most_four_and_a_half_updates(self, monkeypatch):
+        # At tau 0.05 and 0.1 plain updates contract by up to h*omega/2
+        # each and took about 8 per solve; the mixed iteration solves the
+        # affine step map of a linear field from three.
+        updates = []
+        fixed_point = engine.fixed_point
+
+        def counting_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
+            x, stats = fixed_point(map_, x0, max_iter=max_iter)
+            updates.append(stats.iterations)
+            return x, stats
+
+        monkeypatch.setattr(engine, "fixed_point", counting_fixed_point)
+        for omega2, n_events in [((3.0, 1.0), 3), ((0.5, 4.0), 2)]:
+            sys_ = harmonic_system(*omega2)
+            schemes = [resolve_scheme("dmm-midpoint", sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS)]
+            for tau in (0.1, 0.05):
+                traj = run_harmonic(sys_, schemes, 6.0, tau)
+                assert len(traj.events) == n_events
+                assert conserved_error_series(traj, sys_).max() <= 1e-13
+        assert sum(updates) / len(updates) <= 4.5
 
     @pytest.mark.parametrize("system, x0, T, tau", [
         ("harmonic", [1.0, 1.0], 20.0, 0.1),

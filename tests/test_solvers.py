@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,11 +7,15 @@ import pytest
 import inspect
 
 from pwsint import (
+    RegionSide,
     SolveStats,
     bracketed_root,
+    elliptic_system,
     fixed_point,
+    implicit_midpoint_dvf,
     newton,
     quadratic_root_bound,
+    resolve_scheme,
     solvers,
 )
 from pwsint.errors import (
@@ -100,6 +105,160 @@ class TestFixedPoint:
         # contraction monitor either, so the cap is what ends it.
         with pytest.raises(NoConvergence):
             fixed_point(lambda x: np.full(2, np.nan), np.array([1.0, 1.0]))
+
+
+def plain_fixed_point(map_, x, max_iter=200):
+    """x <- map(x) until the update passes fixed_point's stop test.
+
+    The reference the accelerated solve is held to: returns the map
+    image whose update passed, the number of updates, the ratio of the
+    first two update norms (0.0 for a one-update solve), and whether
+    mixing would pay after some update: one from the third on, of a map
+    whose first two updates contract, with r^2 times the update above
+    the tolerance, r the ratio of its norm to the one before.
+    """
+    deltas = []
+    pays = False
+    for it in range(1, max_iter + 1):
+        g = np.asarray(map_(x), dtype=float)
+        f = g - x
+        delta = math.sqrt(f.dot(f))
+        deltas.append(delta)
+        tol = solvers.FP_TOL * (1.0 + math.sqrt(g.dot(g)))
+        if delta <= solvers.FP_TOL or delta <= tol:
+            return g, it, deltas[1] / deltas[0] if it > 1 else 0.0, pays
+        if it >= 3 and deltas[1] < deltas[0]:
+            pays = pays or (delta / deltas[-2]) ** 2 * delta > tol
+        x = g
+    raise AssertionError("the plain iteration did not converge")
+
+
+def midpoint_step_map(dvf, t_a, x_a, tau):
+    """The step map of an implicit field over tau, as the engine builds
+    it, and its Euler-predictor start."""
+    evaluate = dvf.evaluate
+    h = np.array(tau)
+
+    def step_map(x):
+        return x_a + h * evaluate(t_a, x_a, t_a + tau, x)
+
+    return step_map, step_map(x_a)
+
+
+def pendulum(w2):
+    return implicit_midpoint_dvf(lambda t, x: np.array([x[1], -w2 * math.sin(x[0])]))
+
+
+def random_step_maps(field_name, n, tau_range, seed):
+    """n seeded (step map, Euler start) pairs of the generic midpoint
+    field of a nonlinear field: the elliptic field's minus region, or a
+    pendulum xdot = y, ydot = -w2 sin x with a random w2."""
+    rng = np.random.default_rng(seed)
+    elliptic = resolve_scheme("dmm-midpoint", elliptic_system(), RegionSide.MINUS)
+    for _ in range(n):
+        tau = float(rng.uniform(*tau_range))
+        if field_name == "elliptic":
+            dvf, x_a = elliptic, rng.uniform(-1.5, 1.5, size=2)
+        else:
+            dvf = pendulum(float(rng.uniform(0.5, 4.0)))
+            x_a = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)])
+        yield midpoint_step_map(dvf, float(rng.uniform(0.0, 10.0)), x_a, tau)
+
+
+class TestAndersonAcceleration:
+    """fixed_point mixes the updates of a contracting map, and only when it pays."""
+
+    @pytest.mark.parametrize("omega2", [1.0, 4.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.1])
+    @pytest.mark.parametrize("x0", [[1.0, 1.0], [0.3, -2.0], [-1.5, 0.7]])
+    def test_oscillator_step_within_four_updates(self, omega2, tau, x0):
+        # The midpoint step map of a linear field is affine: three
+        # updates give two difference pairs, whose mix is its fixed point.
+        x0 = np.array(x0)
+        oscillator = implicit_midpoint_dvf(lambda t, x: np.array([x[1], -omega2 * x[0]]))
+        step_map, start = midpoint_step_map(oscillator, 0.0, x0, tau)
+        x, stats = fixed_point(step_map, start)
+        assert stats.iterations <= 4
+        np.testing.assert_allclose(x, midpoint_harmonic_step(omega2, x0, tau),
+                                   rtol=0, atol=1e-14)
+        _, plain_iterations, ratio, _ = plain_fixed_point(step_map, start)
+        assert plain_iterations >= 6
+        # The first two updates are plain: their ratio is the estimate.
+        assert stats.contraction_estimate == ratio
+
+    def test_expansive_affine_map_still_diverges(self):
+        # 1.5 times a rotation: plain updates grow by 1.5 each.  Mixing
+        # the first three would land on the fixed point, but a map whose
+        # first two updates do not contract is never mixed.
+        c, s = math.cos(1.0), math.sin(1.0)
+        A = 1.5 * np.array([[c, -s], [s, c]])
+        b = np.array([1.0, -0.5])
+
+        def map_(x):
+            return A @ x + b
+
+        fixed = np.linalg.solve(np.eye(2) - A, b)
+        xs = [np.array([0.2, 0.3])]
+        for _ in range(3):
+            xs.append(map_(xs[-1]))
+        g, f = np.array(xs[1:]), np.diff(xs, axis=0)
+        gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+        np.testing.assert_allclose(g[-1] - np.diff(g, axis=0).T @ gamma, fixed,
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(DivergingFixedPoint):
+            fixed_point(map_, xs[0])
+
+    @pytest.mark.parametrize("field_name", ["elliptic", "pendulum"])
+    def test_nonlinear_step_maps_match_the_plain_iteration(self, field_name):
+        iterations, plain_iterations = [], []
+        for step_map, start in random_step_maps(field_name, 500, (0.01, 0.1), seed=11):
+            x, stats = fixed_point(step_map, start)
+            x_plain, n_plain, _, _ = plain_fixed_point(step_map, start)
+            scale = 1.0 + np.linalg.norm(x)
+            assert np.linalg.norm(x - x_plain) <= 1e-14 * scale
+            assert np.linalg.norm(step_map(x) - x) <= solvers.FP_TOL * scale
+            iterations.append(stats.iterations)
+            plain_iterations.append(n_plain)
+        assert sum(iterations) < sum(plain_iterations)
+
+    @pytest.mark.parametrize("field_name", ["elliptic", "pendulum"])
+    def test_solves_where_mixing_never_pays_take_the_plain_iterates(self, field_name):
+        # Such a solve, every one that stops within three updates among
+        # them, returns the same bits after the same updates.  The starts
+        # lie 1e-13 to 1e-4 off the solution, as warm starts do.
+        rng = np.random.default_rng(13)
+        by_updates = collections.Counter()
+        for step_map, start in random_step_maps(field_name, 300, (0.01, 0.1), seed=12):
+            solution = plain_fixed_point(step_map, start)[0]
+            start = solution + rng.normal(size=2) * 10.0 ** rng.uniform(-13.0, -4.0)
+            x_plain, n_plain, ratio, pays = plain_fixed_point(step_map, start)
+            if pays:
+                continue
+            by_updates[n_plain] += 1
+            x, stats = fixed_point(step_map, start)
+            assert x.tobytes() == x_plain.tobytes()
+            assert (stats.iterations, stats.contraction_estimate) == (n_plain, ratio)
+        assert by_updates[3] >= 40 and by_updates[4] + by_updates[5] >= 20
+
+    def test_a_mix_whose_update_grows_ends_the_mixing(self):
+        # Affine with its fixed point at -0.2 for x >= 0, where the first
+        # three updates run, and 0.1 x below: the mix lands on -0.2,
+        # whose update grows from 0.15 to 0.18.  Every later iterate is
+        # the map image before it, down to the fixed point 0.
+        calls = []
+
+        def map_(x):
+            g = 0.5 * x - 0.1 if x[0] >= 0.0 else 0.1 * x
+            calls.append((x, g))
+            return g
+
+        x, stats = fixed_point(map_, np.array([1.0]))
+        assert abs(x[0]) <= solvers.FP_TOL
+        assert stats.contraction_estimate == pytest.approx(0.5, rel=1e-15)
+        np.testing.assert_allclose([x[0] for x, _ in calls[:4]], [1.0, 0.4, 0.1, -0.2],
+                                   rtol=0, atol=1e-15)
+        for (_, g), (x, _) in zip(calls[3:], calls[4:]):
+            assert x is g
 
 
 class TestNewton:
