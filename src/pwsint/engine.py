@@ -176,10 +176,9 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     NEWTON_FALLBACK_AFTER updates.  A grid leg passes ``h=tau``, which
     its rounded end times miss by up to ulp(t), and an iterated one the
     quintic extrapolation of the six samples up to x_a, O(h^6) off
-    (Hairer & Wanner, Solving ODEs II, section IV.8).
+    (Hairer & Wanner, Solving ODEs II, section IV.8).  A zero-length leg
+    takes its field's path too, which returns x_a where the field is finite.
     """
-    if t_b == t_a:
-        return x_a.copy(), _EXPLICIT
     if not dvf.is_implicit:
         return x_a + np.array(t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
     if h is None:

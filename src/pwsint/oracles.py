@@ -77,22 +77,19 @@ class HarmonicOracle:
             raise ConfigError("oracle needs a finite t0 and T")
         self.t0 = float(t0)
         self.T = float(T)
+        omega = {RegionSide.MINUS: math.sqrt(omega2_minus),
+                 RegionSide.PLUS: math.sqrt(omega2_plus)}
         side = RegionSide.PLUS if x0[1] > 0 else RegionSide.MINUS
-        seg = _Segment(t0, float(x0[0]), float(x0[1]),
-                       math.sqrt(omega2_plus if side is RegionSide.PLUS
-                                 else omega2_minus), side)
-        self.segments = [seg]
+        self.segments = [_Segment(t0, float(x0[0]), float(x0[1]), omega[side], side)]
         self.events: list[OracleEvent] = []
         while True:
             seg = self.segments[-1]
             w = seg.omega
-            if seg.y_entry == 0.0:
-                s = math.pi / w
-            else:
-                theta = math.atan2(seg.y_entry, w * seg.x_entry)
-                if theta <= 0.0:
-                    theta += math.pi
-                s = theta / w
+            # Later entries have y = +0.0: theta is 0 (shifted to pi) or pi.
+            theta = math.atan2(seg.y_entry, w * seg.x_entry)
+            if theta <= 0.0:
+                theta += math.pi
+            s = theta / w
             t_star = seg.t_entry + s
             if t_star > self.T:
                 break
@@ -104,9 +101,7 @@ class HarmonicOracle:
             side_to = RegionSide.PLUS if x_star < 0.0 else RegionSide.MINUS
             self.events.append(OracleEvent(t_star, np.array([x_star, 0.0]),
                                            seg.side, side_to))
-            w_new = math.sqrt(omega2_plus if side_to is RegionSide.PLUS
-                              else omega2_minus)
-            self.segments.append(_Segment(t_star, x_star, 0.0, w_new, side_to))
+            self.segments.append(_Segment(t_star, x_star, 0.0, omega[side_to], side_to))
         self._entry_times = [s.t_entry for s in self.segments]
 
     def __call__(self, t: float) -> Array:

@@ -75,6 +75,24 @@ class TestSmoothStep:
         np.testing.assert_array_equal(
             smooth_step(harmonic_dmm[1], 1.0, x0, 1.0), x0)
 
+    @pytest.mark.parametrize("system, scheme, method, iterations", [
+        ("harmonic", "rk2", "explicit", 0),
+        ("harmonic", "rk4", "explicit", 0),
+        ("harmonic", "dmm-midpoint", "fixed_point", 1),
+        ("elliptic", "dmm-elliptic", "direct", 0),
+    ])
+    def test_zero_length_leg_takes_its_fields_path(self, request, system, scheme,
+                                                   method, iterations):
+        # x_a + 0 * f, one update to it, or a march over h = 0: the bits
+        # of x_a, in a new array, with the field's own statistics.
+        sys_ = request.getfixturevalue(system)
+        for side in (RegionSide.MINUS, RegionSide.PLUS):
+            dvf = resolve_scheme(scheme, sys_, side)
+            x_a = np.array([-1.1, 0.35])
+            x, stats = _solve_leg(dvf, 0.7, x_a, 0.7)
+            assert x is not x_a and x.tolist() == [-1.1, 0.35]
+            assert (stats.method_used, stats.iterations) == (method, iterations)
+
     def test_step_equation_residual(self, harmonic_dmm):
         dvf = harmonic_dmm[0]
         x0 = np.array([0.5, -1.0])
@@ -997,9 +1015,8 @@ class TestStartingValue:
             m.setattr(engine, "fixed_point", recording_fixed_point)
             traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-3)
         assert len(traj.events) == 2
-        # Zero-length legs (the bracket solve evaluates the step start)
-        # return their start without iterating.
-        legs = [leg for leg in legs if leg["t_b"] != leg["t_a"]]
+        # locate_crossing knows the step start, so no leg has zero length.
+        assert all(leg["t_b"] != leg["t_a"] for leg in legs)
         assert all("guess" in leg for leg in legs)
         # The first solve of step k is its grid leg; the others are the
         # in-step legs of localization and the completion legs.
@@ -1245,3 +1262,91 @@ class TestConservation:
         traj = run_harmonic(harmonic, harmonic_dmm, 10.0, 1e-3)
         for ev in traj.events:
             assert ev.psi_level_residual <= 1e-12
+
+    def test_steps_past_the_contraction_limit_are_solved_by_newton(self, harmonic,
+                                                                   harmonic_dmm, monkeypatch):
+        # At tau=1.5 the minus side's update ratio h*omega/2 is 1.30, so
+        # its fixed-point legs diverge and fall back to Newton.
+        newton_calls = []
+        newton = engine.newton
+
+        def counting_newton(F, x0):
+            newton_calls.append(1)
+            return newton(F, x0)
+
+        monkeypatch.setattr(engine, "newton", counting_newton)
+        traj = run_harmonic(harmonic, harmonic_dmm, 20.0, 1.5)
+        assert newton_calls
+        # The 8th crossing lags past the grid end t = 19.5.
+        assert traj.times[-1] == 19.5 and len(traj.events) == 7
+        crossed = {ev.step_index for ev in traj.events}
+        smooth = [k for k in range(len(traj.times) - 1) if k not in crossed]
+        assert smooth
+        omega2 = {RegionSide.MINUS: 3.0, RegionSide.PLUS: 1.0}
+        for k in smooth:
+            np.testing.assert_allclose(
+                traj.states[k + 1],
+                midpoint_harmonic_step(omega2[traj.segment_at(k).side], traj.states[k], 1.5),
+                rtol=0, atol=1e-13)
+        assert conserved_error_series(traj, harmonic).max() <= 1e-13
+
+
+# Reversing symmetries of the catalog systems: R f(R x) = -f(x) on both
+# sides, and both keep g and the sides.
+REVERSAL = {"harmonic": np.array([-1.0, 1.0]), "elliptic": np.array([1.0, -1.0])}
+START = {"harmonic": [1.0, 1.0], "elliptic": [-1.0, -1.0]}
+
+
+def scheme_pair(sys_, name):
+    return [resolve_scheme(name, sys_, side) for side in (RegionSide.MINUS, RegionSide.PLUS)]
+
+
+class TestLongTime:
+    """The whole event-driven map over many crossings (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, ch. XI)."""
+
+    def reversed_runs(self, request, system, scheme, tau):
+        # Integrate to T, then from R x_N over the same grid.  A reversible
+        # map returns R x0, with each event time mirrored about T.
+        sys_ = request.getfixturevalue(system)
+        dvfs, R = scheme_pair(sys_, scheme), REVERSAL[system]
+        fwd = integrate(sys_, *dvfs, START[system], 0.0, 20.0, tau)
+        back = integrate(sys_, *dvfs, R * fwd.states[-1], 0.0, 20.0, tau)
+        assert fwd.times[-1] == back.times[-1] == 20.0
+        return fwd, back, np.abs(back.states[-1] - R * START[system]).max()
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    @pytest.mark.parametrize("system, scheme", [("harmonic", "dmm-midpoint"),
+                                                ("elliptic", "dmm-elliptic")])
+    def test_symmetric_schemes_are_reversible(self, request, system, scheme, tau):
+        fwd, back, miss = self.reversed_runs(request, system, scheme, tau)
+        assert miss <= 1e-12
+        assert len(back.events) == len(fwd.events) >= 8
+        np.testing.assert_allclose([ev.t_hat for ev in back.events],
+                                   [20.0 - ev.t_hat for ev in reversed(fwd.events)],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_rk2_is_not_reversible(self, request, tau):
+        assert self.reversed_runs(request, "harmonic", "rk2", tau)[2] > 1e-6
+
+    @pytest.mark.parametrize("scheme, slope_range", [("dmm-elliptic", (0.9, 1.1)),
+                                                     ("rk2", (1.8, math.inf))])
+    def test_crossing_time_error_growth(self, elliptic, scheme, slope_range):
+        # Symmetric and conservative: linear growth of the phase error;
+        # rk2 drifts in psi, so its period drifts and the error grows
+        # about quadratically.  The log-log slope is fitted over n >= 30
+        # while the error stays below 0.3, half the smallest crossing
+        # spacing, so events still pair up by index.
+        _, oracle_events = elliptic_oracle(elliptic, START["elliptic"], 0.0, 1000.0)
+        traj = integrate(elliptic, *scheme_pair(elliptic, scheme), START["elliptic"],
+                         0.0, 1000.0, 1e-2)
+        n = min(len(traj.events), len(oracle_events))
+        assert n >= 1000
+        err = np.abs(np.array([ev.t_hat for ev in traj.events[:n]])
+                     - [ev.t_star for ev in oracle_events[:n]])
+        end = next((i for i, e in enumerate(err) if e >= 0.3), n)
+        assert end >= 400
+        fit = np.arange(29, end)
+        slope = np.polyfit(np.log(fit + 1.0), np.log(err[fit]), 1)[0]
+        assert slope_range[0] <= slope <= slope_range[1]
