@@ -296,15 +296,18 @@ def cmd_classify(config: ExperimentConfig) -> list[str]:
     rows = []
     for pt in config.points:
         x = np.asarray(pt, dtype=float)
-        base = (*pt, sys_.surface.value(x))
-        try:
-            info = classify_interface_point(sys_, x)
-            rows.append(base + (fmt(info.a_minus), fmt(info.a_plus),
-                                fmt(info.alpha_sq_hat), info.kind.value, ""))
-        except ValueError:
-            rows.append(base + ("", "", "", "", "not_on_surface"))
-        except PwsIntError as exc:
-            rows.append(base + ("", "", "", "", type(exc).__name__))
+        # A far-out point overflows g, and gets a row with its error like
+        # any other point that cannot be classified.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = (*pt, float(sys_.surface.g(x)))
+            try:
+                info = classify_interface_point(sys_, x)
+                rows.append(base + (fmt(info.a_minus), fmt(info.a_plus),
+                                    fmt(info.alpha_sq_hat), info.kind.value, ""))
+            except ValueError:
+                rows.append(base + ("", "", "", "", "not_on_surface"))
+            except PwsIntError as exc:
+                rows.append(base + ("", "", "", "", type(exc).__name__))
     path = f"{config.out}_classify.csv"
     write_csv(path, [f"x_{i+1}" for i in range(d)]
               + ["g", "a_minus", "a_plus", "alpha_sq_hat", "classification", "error"],

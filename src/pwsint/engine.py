@@ -443,9 +443,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                         # those of this localization.
                         events[-1].stats_complete = ev.stats_locate
 
-                    # ev.residual_g is g at ev.x_hat.
-                    info = classify_interface_point(sys, ev.x_hat, ev.t_hat, ev.residual_g,
-                                                    ev.residual_g)
+                    # ev.x_hat is a root of g, whatever its residual.
+                    info = classify_interface_point(sys, ev.x_hat, ev.t_hat, gv=0.0)
                     if info.kind in (Classification.SLIDING, Classification.REPELLING):
                         raise NonTransversalCrossing(
                             f"{info.kind.value} point at t={ev.t_hat}: x={ev.x_hat!r}")

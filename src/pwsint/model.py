@@ -260,7 +260,6 @@ class InterfacePoint(NamedTuple):
 
 
 def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
-                             residual_g: float = 0.0,
                              gv: float | None = None) -> InterfacePoint:
     """Classify the local geometry at a surface point.
 
@@ -268,11 +267,10 @@ def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
     crosses with g increasing, both negative with g decreasing; opposite
     signs give repelling or sliding behavior.  Either product inside the
     on-surface band around zero means transversality fails.  x must lie
-    within max(on_surface_tol, 10 * |residual_g|) of the surface, which
-    accepts a localized crossing within ten times its g-residual; ``gv``
-    is ``surface.value(x)`` when the caller has it already.  ``integrate``
-    passes an event's own g-residual as both, so the band check cannot
-    fail on its call; it guards the public callers, which pass no ``gv``.
+    within on_surface_tol of the surface; ``gv`` is ``surface.value(x)``
+    when the caller has it already.  ``integrate`` passes ``gv=0.0``
+    for a localized crossing, a root of g along its leg, whatever the
+    g there; the band check guards the public callers, which pass none.
 
     grad g and both fields are evaluated once and checked on scalars: the
     sum of their entries is finite only if every entry is, and grad g
@@ -282,7 +280,7 @@ def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
     surface = sys.surface
     if gv is None:
         gv = surface.value(x)
-    if abs(gv) > max(surface.on_surface_tol, 10.0 * abs(residual_g)):
+    if abs(gv) > surface.on_surface_tol:
         raise ValueError(f"point is not on the surface: |g|={abs(gv):.3e}")
     grad = np.asarray(surface.grad_g(x), dtype=float)
     f_minus = np.asarray(sys.f_minus(t, x), dtype=float)

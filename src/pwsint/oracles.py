@@ -57,6 +57,19 @@ class _Segment:
                          -w * self.x_entry * sn + self.y_entry * c])
 
 
+def _start(x0, t0: float, T: float) -> tuple[float, float]:
+    """x0 as two floats, after raising ``ConfigError`` unless it is two
+    finite numbers and t0 and T are finite: a nan or an infinity never
+    ends the event loop, or ends it without a word."""
+    if not (math.isfinite(t0) and math.isfinite(T)):
+        raise ConfigError("oracle needs a finite t0 and T")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"oracle needs an x0 of two finite numbers, got {x0!r}")
+    x, y = x0.tolist()
+    return x, y
+
+
 class HarmonicOracle:
     """Exact piecewise solution of the two-frequency oscillator.
 
@@ -68,19 +81,17 @@ class HarmonicOracle:
 
     def __init__(self, omega2_minus: float, omega2_plus: float,
                  x0, t0: float, T: float):
-        x0 = np.asarray(x0, dtype=float)
-        if x0[1] == 0.0:
+        x, y = _start(x0, t0, T)
+        if y == 0.0:
             raise InvalidInitialCondition("oracle needs y0 != 0")
         if omega2_minus <= 0.0 or omega2_plus <= 0.0:
             raise ConfigError("frequencies squared must be positive")
-        if not (math.isfinite(t0) and math.isfinite(T)):  # or the event loop never ends
-            raise ConfigError("oracle needs a finite t0 and T")
         self.t0 = float(t0)
         self.T = float(T)
         omega = {RegionSide.MINUS: math.sqrt(omega2_minus),
                  RegionSide.PLUS: math.sqrt(omega2_plus)}
-        side = RegionSide.PLUS if x0[1] > 0 else RegionSide.MINUS
-        self.segments = [_Segment(t0, float(x0[0]), float(x0[1]), omega[side], side)]
+        side = RegionSide.PLUS if y > 0 else RegionSide.MINUS
+        self.segments = [_Segment(t0, x, y, omega[side], side)]
         self.events: list[OracleEvent] = []
         while True:
             seg = self.segments[-1]
@@ -378,9 +389,7 @@ class EllipticOracle:
 
     def __init__(self, a_minus: float, a_plus: float, radius: float,
                  x0, t0: float, T: float):
-        if not (math.isfinite(t0) and math.isfinite(T)):  # or the event loop never ends
-            raise ConfigError("oracle needs a finite t0 and T")
-        x, y = (float(v) for v in np.asarray(x0, dtype=float))
+        x, y = _start(x0, t0, T)
         r2 = radius * radius
         g = x * x + y * y - r2
         if g == 0.0:

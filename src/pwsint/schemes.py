@@ -19,11 +19,12 @@ scalar quadratic, solved in a loop over Python floats.  Fields without
 it (the midpoint rule, user fields) are solved by fixed-point iteration
 with a Newton fallback.
 
-Conservative instances carry the conserved set they preserve exactly:
-the implicit midpoint field preserves quadratic invariants of linear
+A field holds no conserved quantity: that belongs to the system, and
+the engine reads it from ``sys.conserved(side)`` whatever the scheme.
+The implicit midpoint field preserves quadratic invariants of linear
 fields, and the divided-difference cubic field preserves
 y^2 - x^3 - a x identically whenever its step equation holds.  Which
-scheme conserves which catalog system is recorded in ``systems``.
+schemes belong to which catalog system is recorded in ``systems``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StepTooLarge
-from .model import ConservedSet, VectorField
+from .model import VectorField
 
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
@@ -53,31 +54,26 @@ class DiscreteVectorField:
     evaluate: DvfFunc
     order: int
     is_implicit: bool
-    conserves: ConservedSet | None = None
     is_symmetric: bool = False
     name: str = ""
     march: MarchFunc | None = None
 
 
-def implicit_midpoint_dvf(f: VectorField,
-                          conserves: ConservedSet | None = None) -> DiscreteVectorField:
+def implicit_midpoint_dvf(f: VectorField) -> DiscreteVectorField:
     """Implicit midpoint rule: evaluate f at the averaged endpoint.
 
-    Second order and symmetric.  Pass ``conserves`` only when the scheme
-    is exactly conservative for the field at hand (quadratic invariant,
-    linear field).
+    Second order and symmetric; exactly conservative for a quadratic
+    invariant of a linear field.
     """
 
     def evaluate(t_a, x_a, t_b, x_b):
         return f(0.5 * (t_a + t_b), (x_a + x_b) * _HALF)
 
-    return DiscreteVectorField(evaluate, order=2, is_implicit=True,
-                               conserves=conserves, is_symmetric=True,
+    return DiscreteVectorField(evaluate, order=2, is_implicit=True, is_symmetric=True,
                                name="dmm-midpoint")
 
 
-def elliptic_dmm_dvf(a: float,
-                     conserves: ConservedSet | None = None) -> DiscreteVectorField:
+def elliptic_dmm_dvf(a: float) -> DiscreteVectorField:
     """Divided-difference field for xdot = 2y, ydot = 3x^2 + a.
 
     With endpoints (x, y) and (x', y') the field is
@@ -131,8 +127,7 @@ def elliptic_dmm_dvf(a: float,
             append(y)
         return np.array(flat).reshape(-1, 2)
 
-    return DiscreteVectorField(evaluate, order=2, is_implicit=True,
-                               conserves=conserves, is_symmetric=True,
+    return DiscreteVectorField(evaluate, order=2, is_implicit=True, is_symmetric=True,
                                name="dmm-elliptic", march=march)
 
 

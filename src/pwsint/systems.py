@@ -2,8 +2,8 @@
 
 Everything the package knows about a catalog system lives in its
 ``SystemSpec`` record: how to build it, its default initial state,
-which conservative scheme belongs to it and how that scheme is built
-for each region, and its exact solution.  ``resolve_scheme`` lives here
+its exactly conservative scheme, the builders of the schemes that are
+its alone, and its exact solution.  ``resolve_scheme`` lives here
 because it reads them.
 
 ``harmonic``: oscillator with a different spring stiffness in each half
@@ -131,15 +131,9 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
     )
 
 
-def _harmonic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
-    # Midpoint is exactly conservative for the quadratic energy of a
-    # linear field.
-    return implicit_midpoint_dvf(sys.field(side), conserves=sys.conserved(side))
-
-
 def _elliptic_dmm(sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
     a = sys.param("a_minus" if side is RegionSide.MINUS else "a_plus", "scheme 'dmm-elliptic'")
-    return elliptic_dmm_dvf(a, conserves=sys.conserved(side))
+    return elliptic_dmm_dvf(a)
 
 
 def _harmonic_oracle(sys: PwsSystem, x0, t0: float, T: float):
@@ -154,11 +148,12 @@ class SystemSpec:
 
     ``factory`` builds the system from keyword parameters, ``x0`` is the
     default initial state and ``scheme`` names the exactly conservative
-    scheme, which ``dmm(sys, side)`` builds for one region.  ``dmm``
-    reads only ``sys`` (its fields, conserved sets and ``params``), so
-    it also serves a copy of the system with replaced callables.  It
-    may build a direct step solve from ``sys.params`` (the field's
-    ``march``); ``dmm-elliptic`` has one, built from the region's ``a``.
+    scheme.  ``schemes`` holds the builders ``(sys, side) -> field`` of
+    the schemes that are this system's alone; ``harmonic`` has none, as
+    the generic ``dmm-midpoint`` conserves its energy.  A builder reads
+    only ``sys`` (its fields and ``params``), so it also serves a copy
+    of the system with replaced callables; ``dmm-elliptic`` builds its
+    field's direct step solve (``march``) from the region's ``a``.
     ``oracle(sys, x0, t0, T)`` returns the exact solution as a state
     function of t and its crossings up to T; it reads only ``sys.params``.
     Both read the parameters through ``PwsSystem.param``, so a missing
@@ -168,19 +163,18 @@ class SystemSpec:
     factory: Callable[..., PwsSystem]
     x0: tuple[float, ...]
     scheme: str
-    dmm: Callable[[PwsSystem, RegionSide], DiscreteVectorField]
+    schemes: dict[str, Callable[[PwsSystem, RegionSide], DiscreteVectorField]]
     oracle: Callable[[PwsSystem, tuple, float, float], tuple]
 
 
 SYSTEMS: dict[str, SystemSpec] = {
-    "harmonic": SystemSpec(harmonic_system, (1.0, 1.0), "dmm-midpoint", _harmonic_dmm,
+    "harmonic": SystemSpec(harmonic_system, (1.0, 1.0), "dmm-midpoint", {},
                            _harmonic_oracle),
-    "elliptic": SystemSpec(elliptic_system, (-1.0, -1.0), "dmm-elliptic", _elliptic_dmm,
-                           elliptic_oracle),
+    "elliptic": SystemSpec(elliptic_system, (-1.0, -1.0), "dmm-elliptic",
+                           {"dmm-elliptic": _elliptic_dmm}, elliptic_oracle),
 }
 
-# Schemes that apply to any system; built from the region's field alone,
-# they carry no conserved set.
+# Schemes that apply to any system, built from the region's field alone.
 _GENERIC_SCHEMES = {
     "dmm-midpoint": implicit_midpoint_dvf,
     "rk2": rk2_dvf,
@@ -204,14 +198,14 @@ def make_system(name: str, **params) -> PwsSystem:
 def resolve_scheme(name: str, sys: PwsSystem, side: RegionSide) -> DiscreteVectorField:
     """Build the named scheme for one region of a system.
 
-    The catalog system's own conservative scheme carries the region's
-    conserved set; the generic schemes carry none.
+    The name is looked up among the catalog system's own schemes, then
+    among the generic ones.
     """
     spec = SYSTEMS.get(sys.name)
-    if spec is not None and name == spec.scheme:
-        return spec.dmm(sys, side)
+    own = spec.schemes if spec else {}
+    if name in own:
+        return own[name](sys, side)
     if name not in _GENERIC_SCHEMES:
-        available = set(_GENERIC_SCHEMES) | ({spec.scheme} if spec else set())
         raise ConfigError(f"unknown scheme {name!r} for system {sys.name!r}; "
-                          f"available: {sorted(available)}")
+                          f"available: {sorted({*own, *_GENERIC_SCHEMES})}")
     return _GENERIC_SCHEMES[name](sys.field(side))

@@ -495,6 +495,17 @@ class TestClassifyCommand:
         assert rows[0][6:] == ["", "DegenerateTangency"]
         assert rows[1][6:] == ["transversal_down", ""]
 
+    def test_far_out_point_is_a_row_error(self, tmp_path):
+        # g overflows at (1e200, 0): that point gets its own row, with g
+        # written as inf, and the command neither warns nor stops.
+        out = str(tmp_path / "k")
+        rc = main(["classify", "--out", out, "--set", "system=elliptic",
+                   "--set", "points=1,0;1e200,0"])
+        assert rc == 0
+        assert data_lines(f"{out}_classify.csv") == [
+            "1,0,0,,,,,DegenerateTangency",
+            "9.9999999999999997e+199,0,inf,,,,,EvaluationError"]
+
 
 class TestExitCodes:
     def test_numerical_failure_is_exit_3(self, tmp_path):

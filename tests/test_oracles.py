@@ -90,6 +90,13 @@ class TestHarmonicOracle:
         with pytest.raises(ConfigError):
             harmonic_oracle(3.0, 1.0, [1.0, 1.0], t0, T)
 
+    @pytest.mark.parametrize("x0", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                    (1.0, 1.0, 1.0), (1.0,)])
+    def test_malformed_start_rejected(self, x0):
+        # A nan start never passes T, so the event loop would not end.
+        with pytest.raises(ConfigError, match="x0 of two finite numbers"):
+            harmonic_oracle(3.0, 1.0, x0, 0.0, 1.0)
+
     @pytest.mark.parametrize("omega2_minus, omega2_plus", [(0.0, 1.0), (3.0, -1.0)])
     def test_non_positive_frequency_rejected(self, omega2_minus, omega2_plus):
         with pytest.raises(ConfigError):
@@ -450,6 +457,12 @@ class TestEllipticOracle:
         # [-1, -1] lies on an oval, which never reaches an infinite horizon
         with pytest.raises(ConfigError):
             elliptic_oracle(elliptic, [-1.0, -1.0], t0, T)
+
+    @pytest.mark.parametrize("x0", [(1.0, math.nan), (math.inf, 1.0), (1.0, 1.0, 1.0),
+                                    (1.0,)])
+    def test_malformed_start_rejected(self, elliptic, x0):
+        with pytest.raises(ConfigError, match="x0 of two finite numbers"):
+            elliptic_oracle(elliptic, x0, 0.0, 1.0)
 
     def test_start_on_circle_rejected(self):
         with pytest.raises(InvalidInitialCondition):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,10 +282,6 @@ class TestRegistry:
             dvf = resolve_scheme(name, harmonic, RegionSide.PLUS)
             assert dvf.name == name
 
-    def test_midpoint_carries_conserved_set_for_harmonic(self, harmonic):
-        dvf = resolve_scheme("dmm-midpoint", harmonic, RegionSide.MINUS)
-        assert dvf.conserves is harmonic.conserved_minus
-
     def test_elliptic_scheme_uses_side_parameter(self, elliptic):
         dvf_m = resolve_scheme("dmm-elliptic", elliptic, RegionSide.MINUS)
         x = np.array([-1.0, -1.0])
@@ -300,12 +297,40 @@ class TestRegistry:
         sys_ = make_system(name)
         dvfs = {side: resolve_scheme(spec.scheme, sys_, side)
                 for side in (RegionSide.MINUS, RegionSide.PLUS)}
-        for side, dvf in dvfs.items():
-            assert dvf.conserves is sys_.conserved(side)
         traj = integrate(sys_, dvfs[RegionSide.MINUS], dvfs[RegionSide.PLUS],
                          spec.x0, 0.0, 6.0, 1e-2)
         assert len(traj.events) >= 3
         assert conserved_error_series(traj, sys_).max() <= 1e-11
+
+    @pytest.mark.parametrize("name, own", [("harmonic", []),
+                                           ("elliptic", ["dmm-elliptic"]),
+                                           ("copy", [])])
+    def test_unknown_scheme_names_the_table(self, name, own):
+        # A copy of a catalog system under another name has the generic
+        # schemes only.
+        sys_ = (dataclasses.replace(make_system("elliptic"), name="copy") if name == "copy"
+                else make_system(name))
+        available = sorted(["dmm-midpoint", "rk2", "rk4", *own])
+        for scheme in ("leapfrog", *({"dmm-elliptic"} - set(own))):
+            with pytest.raises(ConfigError, match=re.escape(f"available: {available}")):
+                resolve_scheme(scheme, sys_, RegionSide.PLUS)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_catalog_scheme_resolves_on_both_sides(self, name):
+        scheme = SYSTEMS[name].scheme
+        sys_ = make_system(name)
+        for side in (RegionSide.MINUS, RegionSide.PLUS):
+            assert resolve_scheme(scheme, sys_, side).name == scheme
+
+    def test_harmonic_scheme_is_the_generic_midpoint(self, harmonic):
+        a, b = [integrate(harmonic, build(RegionSide.MINUS), build(RegionSide.PLUS),
+                          (1.0, 1.0), 0.0, 6.0, 1e-2)
+                for build in (lambda side: resolve_scheme("dmm-midpoint", harmonic, side),
+                              lambda side: implicit_midpoint_dvf(harmonic.field(side)))]
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+        assert len(a.events) >= 3
+        assert ([(ev.t_hat, ev.x_hat.tolist()) for ev in a.events]
+                == [(ev.t_hat, ev.x_hat.tolist()) for ev in b.events])
 
     def test_unknown_scheme(self, harmonic):
         with pytest.raises(ConfigError):
