@@ -73,9 +73,6 @@ from .solvers import SolveStats, bracketed_root, fixed_point, newton
 
 Array = np.ndarray
 
-# Fixed-point iterations spent on a leg before it falls back to Newton.
-NEWTON_FALLBACK_AFTER = 25
-
 # Fixed caps of ``integrate``: crossings inside one step, events and
 # grid steps per run.
 MAX_CROSSINGS_PER_STEP = 4
@@ -172,8 +169,8 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     four updates on a coarse step (tau 0.05 to 0.1) where plain updates
     take eight.  They start from ``guess``, else from the Euler
     predictor (O(h^2) off), and fall back to Newton from the same start
-    when the map diverges or has not converged after
-    NEWTON_FALLBACK_AFTER updates.  A grid leg passes ``h=tau``, which
+    when the map diverges, overflows or has not converged after
+    ``solvers.FP_MAX_ITER`` updates.  A grid leg passes ``h=tau``, which
     its rounded end times miss by up to ulp(t), and an iterated one the
     quintic extrapolation of the six samples up to x_a, O(h^6) off
     (Hairer & Wanner, Solving ODEs II, section IV.8).  A zero-length leg
@@ -195,7 +192,7 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     if guess is None:
         guess = step_map(x_a)
     try:
-        return fixed_point(step_map, guess, max_iter=NEWTON_FALLBACK_AFTER)
+        return fixed_point(step_map, guess)
     except (DivergingFixedPoint, NoConvergence):
         return newton(lambda x: x - step_map(x), guess)
 

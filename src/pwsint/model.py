@@ -50,8 +50,9 @@ class SwitchingSurface:
 
     ``on_surface_tol`` (fixed) is the absolute half-width of the band
     |g| <= tol inside which a point counts as numerically on the surface.
-    The gradient must not vanish on that band; this is checked wherever
-    the surface is queried near its zero set.
+    The gradient must be finite and must not vanish on that band:
+    ``gradient`` checks both, ``side_of`` calls it for a point in the
+    band, and ``classify_interface_point`` when its scalar checks fail.
 
     ``g`` must also accept a stack of states along a leading axis, shape
     (n, dim), and then return shape (n,); the CLI trajectory writer
@@ -100,14 +101,11 @@ class SwitchingSurface:
         return gv
 
     def gradient(self, x: Array) -> Array:
+        """grad g at x, a point near the surface, after raising
+        ``EvaluationError`` unless it is finite and does not vanish."""
         gr = np.asarray(self.grad_g(x), dtype=float)
         if not np.all(np.isfinite(gr)):
             raise EvaluationError(f"grad g is not finite at x={x!r}")
-        return gr
-
-    def check_gradient_nonzero(self, x: Array) -> Array:
-        """Runtime guard: grad g must not vanish near the surface; returns it."""
-        gr = self.gradient(x)
         if np.linalg.norm(gr) == 0.0:
             raise EvaluationError(f"grad g vanishes on the surface at x={x!r}")
         return gr
@@ -170,6 +168,17 @@ class ConservedSet:
     def __post_init__(self) -> None:
         if self.d_psi < 1:
             raise ValueError("d_psi must be at least 1")
+
+
+def check_params(params: Mapping[str, float], positive: tuple = ()) -> dict[str, float]:
+    """A copy of ``params``, after raising ``ConfigError`` on the first value
+    that is not finite, or not above zero when ``positive`` names it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"system parameter {name} must be finite, got {value!r}")
+        if name in positive and not value > 0.0:
+            raise ConfigError(f"system parameter {name} must be positive, got {value!r}")
+    return dict(params)
 
 
 @dataclass(frozen=True)
@@ -236,7 +245,7 @@ def side_of(surface: SwitchingSurface, x: Array, gv: float | None = None) -> Reg
         return _PLUS
     if gv < -surface.on_surface_tol:
         return _MINUS
-    surface.check_gradient_nonzero(x)
+    surface.gradient(x)
     return _ON_SURFACE
 
 
@@ -288,7 +297,7 @@ def classify_interface_point(sys: PwsSystem, x: Array, t: float = 0.0,
     flat = grad.ravel()
     if not (math.isfinite(sum(flat.tolist()) + sum(f_minus.tolist()) + sum(f_plus.tolist()))
             and flat.dot(flat)):
-        surface.check_gradient_nonzero(x)
+        surface.gradient(x)
         field_for_side(sys, RegionSide.MINUS, t, x)
         field_for_side(sys, RegionSide.PLUS, t, x)
     a_minus = float(grad.dot(f_minus))

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInitialCondition,
     NonTransversalCrossing,
 )
-from .model import PwsSystem, RegionSide
+from .model import PwsSystem, RegionSide, check_params
 from .schemes import rk4_dvf
 from .engine import Trajectory, integrate
 from .solvers import bracketed_root
@@ -84,8 +84,8 @@ class HarmonicOracle:
         x, y = _start(x0, t0, T)
         if y == 0.0:
             raise InvalidInitialCondition("oracle needs y0 != 0")
-        if omega2_minus <= 0.0 or omega2_plus <= 0.0:
-            raise ConfigError("frequencies squared must be positive")
+        check_params({"omega2_minus": omega2_minus, "omega2_plus": omega2_plus},
+                     positive=("omega2_minus", "omega2_plus"))
         self.t0 = float(t0)
         self.T = float(T)
         omega = {RegionSide.MINUS: math.sqrt(omega2_minus),
@@ -390,6 +390,8 @@ class EllipticOracle:
     def __init__(self, a_minus: float, a_plus: float, radius: float,
                  x0, t0: float, T: float):
         x, y = _start(x0, t0, T)
+        check_params({"a_minus": a_minus, "a_plus": a_plus, "radius": radius},
+                     positive=("radius",))
         r2 = radius * radius
         g = x * x + y * y - r2
         if g == 0.0:

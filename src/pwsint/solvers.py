@@ -2,10 +2,11 @@
 
 Small, dense, deterministic: fixed-point iteration accelerated by
 Anderson mixing of memory two once the map shows contraction, with a
-monitor that flags an expanding map; undamped Newton with a
-forward-difference Jacobian; a Brent-style bracketed scalar root
+monitor that flags an expanding or overflowing map; undamped Newton
+with a forward-difference Jacobian; a Brent-style bracketed scalar root
 finder; and a root bound for the quadratic inequalities that appear in
-crossing-time estimates.
+crossing-time estimates.  ``FP_MAX_ITER`` caps the updates of every
+fixed-point solve and the iterations of every Newton solve.
 
 All functions are pure with respect to their inputs and safe to call
 concurrently.
@@ -36,7 +37,7 @@ _EPS = float(np.finfo(float).eps)
 # the scalar root finder.
 FP_TOL = 1e-14
 ROOT_TOL_T = 1e-14
-FP_MAX_ITER = 100  # default fixed-point cap, and the Newton cap
+FP_MAX_ITER = 25
 ROOT_MAX_ITER = 200
 FD_JACOBIAN_STEP = math.sqrt(_EPS)
 
@@ -65,8 +66,7 @@ class SolveStats(NamedTuple):
     method_used: str  # "fixed_point", "newton", "direct" or "explicit"
 
 
-def fixed_point(map_: Callable[[Array], Array], x0: Array,
-                max_iter: int = FP_MAX_ITER) -> tuple[Array, SolveStats]:
+def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, SolveStats]:
     """Solve x = map(x) by Anderson-accelerated fixed-point iteration.
 
     Each update evaluates the map at the current iterate; the solve
@@ -85,7 +85,9 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
     The observed ratio of successive update norms is monitored; a ratio
     >= 1 sustained over five updates aborts with DivergingFixedPoint,
     which for step maps signals that the step size exceeds the
-    contraction restriction.
+    contraction restriction, and so does an update whose norm overflows
+    (an infinite tolerance would accept it).  A solve that has not
+    converged after FP_MAX_ITER updates raises NoConvergence.
     """
     x = np.asarray(x0, dtype=float)
     prev_delta = -1.0
@@ -93,10 +95,12 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
     expanding = 0
     mixing = mixed = False  # mixing may pay; x is a mixed iterate
     last = None  # the (map image, update) pair before this update's
-    for it in range(1, max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         g = np.asarray(map_(x), dtype=float)
         f = g - x
         delta = math.sqrt(f.dot(f))
+        if delta == math.inf:
+            raise DivergingFixedPoint(f"update norm overflows at iteration {it}")
         if prev_delta > 0.0:
             ratio = delta / prev_delta
             expanding = expanding + 1 if ratio >= 1.0 else 0
@@ -117,7 +121,7 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array,
         mixed = x is not g
         prev_delta = delta
         before_last, last = last, (g, f)
-    raise NoConvergence(f"fixed point not converged in {max_iter} iterations")
+    raise NoConvergence(f"fixed point not converged in {FP_MAX_ITER} iterations")
 
 
 def _anderson_mix(g: Array, f: Array, last: tuple[Array, Array],

@@ -17,14 +17,13 @@ conserves y^2 - x^3 - a x, whose level sets are elliptic curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import ConservedSet, PwsSystem, RegionSide, SwitchingSurface
+from .model import ConservedSet, PwsSystem, RegionSide, SwitchingSurface, check_params
 from .oracles import elliptic_oracle, harmonic_oracle
 from .schemes import (
     DiscreteVectorField,
@@ -35,17 +34,9 @@ from .schemes import (
 )
 
 
-def _check_finite(params: dict[str, float]) -> dict[str, float]:
-    """``params``, after raising ``ConfigError`` on the first non-finite value."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"system parameter {name} must be finite, got {value!r}")
-    return params
-
-
 def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsSystem:
     """Piecewise harmonic oscillator split by the line y = 0."""
-    params = _check_finite({"omega2_minus": omega2_minus, "omega2_plus": omega2_plus})
+    params = check_params({"omega2_minus": omega2_minus, "omega2_plus": omega2_plus})
 
     def make_field(w2):
         # (y, -w2 x) as one product: 1.0 * y is y, and (-w2) * x is
@@ -84,11 +75,10 @@ def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsS
 def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
                     radius: float = 1.0) -> PwsSystem:
     """Cubic system switching on a circle of the given radius."""
-    params = _check_finite({"a_minus": a_minus, "a_plus": a_plus, "radius": radius})
     # g below reads only radius**2: a radius of 0 would give a point no
     # orbit crosses, and -r the circle of radius r.
-    if not radius > 0.0:
-        raise ConfigError(f"system parameter radius must be positive, got {radius!r}")
+    params = check_params({"a_minus": a_minus, "a_plus": a_plus, "radius": radius},
+                          positive=("radius",))
 
     def make_field(a):
         def f(t, x):

@@ -1005,8 +1005,8 @@ class TestStartingValue:
                          "h": h, "start": guess})
             return solve_leg(dvf, t_a, x_a, t_b, h, guess)
 
-        def recording_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
-            x, stats = fixed_point(map_, x0, max_iter=max_iter)
+        def recording_fixed_point(map_, x0):
+            x, stats = fixed_point(map_, x0)
             legs[-1]["guess"], legs[-1]["iterations"] = x0.copy(), stats.iterations
             return x, stats
 
@@ -1084,8 +1084,8 @@ class TestStartingValue:
         updates = []
         fixed_point = engine.fixed_point
 
-        def counting_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
-            x, stats = fixed_point(map_, x0, max_iter=max_iter)
+        def counting_fixed_point(map_, x0):
+            x, stats = fixed_point(map_, x0)
             updates.append(stats.iterations)
             return x, stats
 
@@ -1124,9 +1124,9 @@ class TestStartingValue:
                     return F(x)
                 return counted_F
 
-            def counting_fixed_point(map_, x0, max_iter=solvers.FP_MAX_ITER):
+            def counting_fixed_point(map_, x0):
                 count["legs"] += 1
-                return fixed_point(counted(map_), x0, max_iter=max_iter)
+                return fixed_point(counted(map_), x0)
 
             def cold_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
                 return solve_leg(dvf, t_a, x_a, t_b, h)
@@ -1288,6 +1288,37 @@ class TestConservation:
                 traj.states[k + 1],
                 midpoint_harmonic_step(omega2[traj.segment_at(k).side], traj.states[k], 1.5),
                 rtol=0, atol=1e-13)
+        assert conserved_error_series(traj, harmonic).max() <= 1e-13
+
+    def test_a_leg_falls_back_to_newton_after_the_solve_budget(self, harmonic, harmonic_dmm,
+                                                               monkeypatch):
+        # At tau=0.8 three legs neither converge nor expand for five
+        # updates running: each spends the whole budget, then Newton
+        # solves it.
+        spent, newton_calls = [], []
+        fixed_point, newton = engine.fixed_point, engine.newton
+
+        def recording_fixed_point(map_, x0):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return map_(x)
+            try:
+                return fixed_point(counted, x0)
+            except NoConvergence:
+                spent.append(len(calls))
+                raise
+
+        def counting_newton(F, x0):
+            newton_calls.append(1)
+            return newton(F, x0)
+
+        monkeypatch.setattr(engine, "fixed_point", recording_fixed_point)
+        monkeypatch.setattr(engine, "newton", counting_newton)
+        traj = run_harmonic(harmonic, harmonic_dmm, 20.0, 0.8)
+        assert spent == [solvers.FP_MAX_ITER] * 3
+        assert len(newton_calls) == 3
         assert conserved_error_series(traj, harmonic).max() <= 1e-13
 
 

@@ -70,6 +70,13 @@ class TestSideOf:
         with pytest.raises(EvaluationError):
             side_of(surface, np.array([1.0, 0.0]))
 
+    def test_gradient_checks_that_it_does_not_vanish(self):
+        surface = SwitchingSurface(g=lambda x: x[1] ** 3,
+                                   grad_g=lambda x: np.array([0.0, 3.0 * x[1] ** 2]))
+        with pytest.raises(EvaluationError, match="grad g vanishes on the surface"):
+            surface.gradient(np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(surface.gradient(np.array([1.0, 1.0])), [0.0, 3.0])
+
 
 class TestFieldForSide:
     def test_harmonic_plus(self, harmonic):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -97,9 +98,14 @@ class TestHarmonicOracle:
         with pytest.raises(ConfigError, match="x0 of two finite numbers"):
             harmonic_oracle(3.0, 1.0, x0, 0.0, 1.0)
 
-    @pytest.mark.parametrize("omega2_minus, omega2_plus", [(0.0, 1.0), (3.0, -1.0)])
+    @pytest.mark.parametrize("omega2_minus, omega2_plus", [
+        (0.0, 1.0), (3.0, -1.0), (math.nan, 1.0), (math.inf, 1.0), (3.0, math.nan),
+        (3.0, math.inf)])
     def test_non_positive_frequency_rejected(self, omega2_minus, omega2_plus):
-        with pytest.raises(ConfigError):
+        # A nan or infinite frequency gives crossing times that never
+        # pass T: the event loop would not end.
+        bad = "omega2_minus" if not 0.0 < omega2_minus < math.inf else "omega2_plus"
+        with pytest.raises(ConfigError, match=f"system parameter {bad} must be"):
             harmonic_oracle(omega2_minus, omega2_plus, [1.0, 1.0], 0.0, 10.0)
 
     @pytest.mark.parametrize("t", [-1e-3, 10.001])
@@ -467,6 +473,17 @@ class TestEllipticOracle:
     def test_start_on_circle_rejected(self):
         with pytest.raises(InvalidInitialCondition):
             elliptic_oracle(elliptic_system(), [0.6, 0.8], 0.0, 1.0)
+
+    @pytest.mark.parametrize("param, value", [
+        ("a_minus", math.nan), ("a_plus", math.inf), ("radius", math.nan),
+        ("radius", math.inf), ("radius", 0.0), ("radius", -1.0)])
+    def test_bad_parameter_rejected(self, elliptic, param, value):
+        # Parameters that bypass the factory, as on a replaced system:
+        # unchecked, a nan or infinite a failed with DegenerateTangency,
+        # a radius of nan, inf or 0 gave no events, and -1 the radius-1 answer.
+        system = dataclasses.replace(elliptic, params={**elliptic.params, param: value})
+        with pytest.raises(ConfigError, match=f"system parameter {param} must be"):
+            elliptic_oracle(system, [-1.0, -1.0], 0.0, 10.0)
 
     def test_start_at_equilibrium_rejected(self):
         # inside the circle of radius 2 the field is (2y, 3x^2 - 3): zero at (1, 0)

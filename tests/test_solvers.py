@@ -81,8 +81,19 @@ class TestFixedPoint:
                                    rtol=0, atol=1e-12)
 
     def test_iteration_cap(self):
+        # A non-normal contraction: its first update ratio is 1.45, so it
+        # is never mixed, and its ratios alternate above and below one, so
+        # the divergence monitor never fires.  The budget ends it.
+        J = np.array([[0.0, 2.0], [-0.45, 0.0]])
+        updates = []
+
+        def map_(x):
+            updates.append(x)
+            return J @ x + 1.0
+
         with pytest.raises(NoConvergence):
-            fixed_point(lambda x: 0.9999 * x + 1.0, np.array([0.0]), max_iter=3)
+            fixed_point(map_, np.zeros(2))
+        assert len(updates) == solvers.FP_MAX_ITER
 
     def test_update_of_at_most_the_tolerance_accepts_at_once(self):
         x, stats = fixed_point(lambda x: np.array([solvers.FP_TOL]), np.array([0.0]))
@@ -99,6 +110,13 @@ class TestFixedPoint:
         assert solvers.FP_TOL < stats.residual <= solvers.FP_TOL * (1.0 + abs(x[0]))
         x, stats = fixed_point(lambda x: x0 + 2e-11, x0)
         assert (stats.iterations, stats.residual) == (2, 0.0)
+
+    def test_overflowing_update_diverges(self):
+        # The update norm overflows to inf, and so would the tolerance it
+        # is tested against: accepting it would return [1e200, 1e200].
+        with np.errstate(over="ignore"), pytest.raises(DivergingFixedPoint,
+                                                       match="overflows at iteration 1"):
+            fixed_point(lambda x: 1e200 * x, np.array([1.0, 1.0]))
 
     def test_nan_map_does_not_converge(self):
         # A nan update passes no test: not the stop test, and not the
