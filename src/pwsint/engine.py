@@ -26,8 +26,9 @@ evaluated once per leg end and handed on.  A leg that ends off its
 side crosses: the sign change of ``g`` is localized by an outer
 bracketed root solve in time around the inner step solve, which
 evaluates ``g`` once per in-step leg it solves, and the crossing is
-classified with the event's own ``g`` residual and recorded.  The
-completion leg starts on the surface, whatever that residual, and may
+classified as a point on the surface (``gv=0.0``, since the crossing
+point is a root of ``g`` along its leg) and recorded.  The completion
+leg starts on the surface, whatever the event's ``g`` residual, and may
 cross again, up to a small cap per step.  Each step ends in one
 commit; a numerical failure inside it is re-raised with the step's
 index, start time and starting side.

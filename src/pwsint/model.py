@@ -54,22 +54,22 @@ class SwitchingSurface:
     ``gradient`` checks both, ``side_of`` calls it for a point in the
     band, and ``classify_interface_point`` when its scalar checks fail.
 
-    ``g`` must also accept a stack of states along a leading axis, shape
-    (n, dim), and then return shape (n,); the CLI trajectory writer
-    evaluates it on whole blocks of samples at once, and ``integrate``
-    on each block of states that a field with a ``march`` returns.  For
-    other fields ``integrate`` calls it once per step on a single 1-D
-    state, so it should be cheap there: arithmetic on the 0-d arrays
-    that ``x[..., i]`` returns costs about twice as much as on the
-    scalars that ``x.T[i]`` returns.  Row i of ``g`` on a stack must
-    have the same bits as ``g`` on row i alone (true of elementwise
-    arithmetic), since ``integrate`` uses the block's values in place
-    of single-state ones; a run with a marching field checks this once,
-    on ``dim + 1`` copies of its initial state, and raises
-    ``EvaluationError`` at step 0 unless each gets ``g`` of that state.
-    A ``g`` such as ``x[0] * x[0] + x[1] * x[1] - 1`` indexes rows
-    instead: it fits a stack of exactly ``dim`` rows, with the wrong
-    values, hence the ``dim + 1`` copies.
+    ``g`` takes one state, shape (dim,), and returns a float; ``integrate``
+    calls it once per step on a single 1-D state, so it should be cheap
+    there: arithmetic on the 0-d arrays that ``x[..., i]`` returns costs
+    about twice as much as on the scalars that ``x.T[i]`` returns.  A
+    ``g`` must also accept a stack of states only when one of the run's
+    fields has a ``march``: ``integrate`` then evaluates it on each block
+    of states the march returns, shape (n, dim), and needs shape (n,)
+    back, row i with the bits of ``g`` on row i alone (true of
+    elementwise arithmetic), since it uses the block's values in place of
+    single-state ones.  Such a run checks this once, on ``dim + 1``
+    copies of its initial state, and raises ``EvaluationError`` at step 0
+    unless each gets ``g`` of that state; it checks the shape on every
+    block.  A ``g`` such as ``x[0] * x[0] + x[1] * x[1] - 1`` indexes
+    rows instead: it fits a stack of exactly ``dim`` rows, with the wrong
+    values, hence the ``dim + 1`` copies.  Every catalog ``g`` meets the
+    stack contract, and the CLI trajectory writer relies on it.
     ``integrate`` evaluates ``g`` once per state it computes and reuses
     the value: at a step end (from the block, or from the single-state
     call) it decides the side and brackets a crossing, and at a crossing
@@ -85,19 +85,6 @@ class SwitchingSurface:
         gv = float(self.g(x))
         if not math.isfinite(gv):
             raise EvaluationError(f"g(x) is not finite at x={x!r}")
-        return gv
-
-    def stack_values(self, states: Array) -> Array:
-        """g on a stack of states, shape (n, dim) -> (n,)."""
-        gv = np.asarray(self.g(states), dtype=float)
-        # A spot check against the scalar evaluation catches functions
-        # that return the right shape without actually broadcasting.
-        if gv.shape != (len(states),) or gv[0] != self.value(states[0]):
-            raise EvaluationError(
-                f"g does not broadcast over a stack of {len(states)} states "
-                f"(returned shape {gv.shape})")
-        if not np.all(np.isfinite(gv)):
-            raise EvaluationError("g(x) is not finite on a stack of states")
         return gv
 
     def gradient(self, x: Array) -> Array:

@@ -4,9 +4,10 @@ Small, dense, deterministic: fixed-point iteration accelerated by
 Anderson mixing of memory two once the map shows contraction, with a
 monitor that flags an expanding or overflowing map; undamped Newton
 with a forward-difference Jacobian; a Brent-style bracketed scalar root
-finder; and a root bound for the quadratic inequalities that appear in
-crossing-time estimates.  ``FP_MAX_ITER`` caps the updates of every
-fixed-point solve and the iterations of every Newton solve.
+finder; and a root bound for a quadratic inequality, which acceptance
+criterion 7(e) checks against its series bound.  ``FP_MAX_ITER`` caps
+the updates of every fixed-point solve and the iterations of every
+Newton solve.
 
 All functions are pure with respect to their inputs and safe to call
 concurrently.
@@ -33,8 +34,9 @@ Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 
 # An iterate x is accepted when the relevant residual is below
-# FP_TOL * (1 + |x|); ROOT_TOL_T is the absolute bracket-width target of
-# the scalar root finder.
+# FP_TOL * (1 + |x|), |x| taken by math.hypot, which does not overflow
+# where the sum of squares does (|x| above about 1.3e154); ROOT_TOL_T is
+# the absolute bracket-width target of the scalar root finder.
 FP_TOL = 1e-14
 ROOT_TOL_T = 1e-14
 FP_MAX_ITER = 25
@@ -113,7 +115,7 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, Solve
             elif mixed and ratio >= 1.0:
                 mixing = False  # the mix did not pay: plain updates from here on
         # delta <= FP_TOL passes the mixed test whatever |g|.
-        if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.sqrt(g.dot(g)))):
+        if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.hypot(*g.tolist()))):
             return g, SolveStats(it, delta, contraction, "fixed_point")
         x = g
         if mixing and it > 2 and ratio * ratio * delta > tol:
@@ -176,7 +178,7 @@ def newton(F: Callable[[Array], Array], x0: Array) -> tuple[Array, SolveStats]:
     condition estimate above 1e14 raises SingularJacobian.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    target = FP_TOL * (1.0 + float(np.linalg.norm(x)))
+    target = FP_TOL * (1.0 + math.hypot(*x.tolist()))
     prev_step = -1.0
     contraction = 0.0
     for it in range(FP_MAX_ITER + 1):
@@ -203,8 +205,9 @@ def bracketed_root(phi: Callable[[float], float], a: float, b: float) -> float:
 
     Brent's method: inverse-quadratic / secant steps safeguarded by
     bisection, so convergence is guaranteed for any continuous phi and
-    every evaluation stays inside [a, b].  Terminates when the bracket
-    width falls below 2*eps*|t| + ROOT_TOL_T / 2.
+    every evaluation stays inside [a, b].  Terminates when the bracket's
+    half-width falls to 2*eps*|t| + ROOT_TOL_T / 2, so its width to
+    4*eps*|t| + ROOT_TOL_T.
     """
     fa = float(phi(a))
     fb = float(phi(b))

@@ -253,6 +253,23 @@ class TestIntegrateCommand:
         assert len(traj.region_segments) >= 4 and len(want) > 3 * cli._WRITE_CHUNK
         assert got == want
 
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_g_column_is_the_single_state_value(self, tmp_path, name):
+        # The writer evaluates g on stacks without a check of its own: each
+        # row must still carry the g of its state alone.
+        out = str(tmp_path / name)
+        assert main(["integrate", "--out", out, "--set", f"system={name}",
+                     "--set", "T=2"]) == 0
+        header, rows = read_csv(f"{out}_trajectory.csv")
+        surface = SYSTEMS[name].factory().surface
+        xs = [header.index("x_1"), header.index("x_2")]
+        col = header.index("g")
+        assert len({row[header.index("side")] for row in rows}) == 2
+        assert len(rows) > 3 * cli._WRITE_CHUNK
+        for row in rows:
+            x = np.array([float(row[i]) for i in xs])
+            assert float(row[col]) == surface.value(x), row
+
     def test_event_rows_match_per_cell_formatting(self, tmp_path):
         out = str(tmp_path / "e")
         settings = {"system": "elliptic", "T": "10", "tau": "1e-2", "perturbation.p": "2"}

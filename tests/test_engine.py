@@ -16,6 +16,7 @@ from pwsint import (
     SwitchingSurface,
     conserved_error_series,
     elliptic_oracle,
+    estimate_order,
     harmonic_oracle,
     harmonic_system,
     integrate,
@@ -37,6 +38,7 @@ from pwsint.errors import (
     RunawaySwitching,
     StepTooLarge,
 )
+from pwsint.systems import SYSTEMS
 
 from conftest import midpoint_harmonic_step
 
@@ -1360,6 +1362,27 @@ class TestLongTime:
     @pytest.mark.parametrize("tau", [0.01, 0.1])
     def test_rk2_is_not_reversible(self, request, tau):
         assert self.reversed_runs(request, "harmonic", "rk2", tau)[2] > 1e-6
+
+    @pytest.mark.parametrize("system, T, taus", [
+        ("harmonic", 20.0, [0.04, 0.02, 0.01, 0.005]),
+        # 0.04 -> 0.005 gives 3.6 on the elliptic system: not yet asymptotic.
+        ("elliptic", 10.0, [0.01, 0.005, 0.0025, 0.00125]),
+    ])
+    def test_transition_keeps_order_four_for_rk4(self, request, system, T, taus):
+        # The localized crossing and the completion leg must not cost rk4
+        # its order: the last crossing before T and the final state
+        # converge at slope 4 against the exact solution.
+        sys_ = request.getfixturevalue(system)
+        oracle, oracle_events = SYSTEMS[system].oracle(sys_, START[system], 0.0, T)
+        crossing_errs, state_errs = [], []
+        for tau in taus:
+            traj = integrate(sys_, *scheme_pair(sys_, "rk4"), START[system], 0.0, T, tau)
+            assert traj.times[-1] == T
+            assert len(traj.events) == len(oracle_events) >= 8
+            crossing_errs.append(abs(traj.events[-1].t_hat - oracle_events[-1].t_star))
+            state_errs.append(float(np.linalg.norm(traj.states[-1] - oracle(T))))
+        for errs in (crossing_errs, state_errs):
+            assert abs(estimate_order(taus, errs).slope - 4.0) <= 0.2
 
     @pytest.mark.parametrize("scheme, slope_range", [("dmm-elliptic", (0.9, 1.1)),
                                                      ("rk2", (1.8, math.inf))])

@@ -118,6 +118,13 @@ class TestFixedPoint:
                                                        match="overflows at iteration 1"):
             fixed_point(lambda x: 1e200 * x, np.array([1.0, 1.0]))
 
+    def test_tolerance_of_a_huge_iterate_does_not_overflow(self):
+        # |x| near 2e160: its square overflows, and a tolerance scaled by
+        # an overflowed |x| would accept the first update, 2.5e-11 off.
+        x, stats = fixed_point(lambda x: 0.5 * x + 1e160, np.array([2e160 - 1e150]))
+        assert stats.iterations > 1
+        assert abs(x[0] - 2e160) <= 1e-15 * 2e160
+
     def test_nan_map_does_not_converge(self):
         # A nan update passes no test: not the stop test, and not the
         # contraction monitor either, so the cap is what ends it.
@@ -291,6 +298,13 @@ class TestNewton:
         x, stats = newton(lambda x: x * x, np.array([1.0]))
         assert abs(float(x[0])) < 1e-6
         assert stats.iterations > 15
+
+    def test_target_of_a_huge_start_does_not_overflow(self):
+        # |x0| near 2e160: a target scaled by an overflowed |x0| would
+        # accept the start, 5e-11 off, after 0 iterations.
+        x, stats = newton(lambda x: x - (0.5 * x + 1e160), np.array([2e160 - 1e150]))
+        assert stats.iterations > 0
+        assert abs(x[0] - 2e160) <= 1e-15 * 2e160
 
     def test_singular_jacobian(self):
         with pytest.raises(SingularJacobian):
