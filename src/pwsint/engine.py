@@ -21,17 +21,18 @@ a one-step march (a step the march could not take, or a row whose
 evaluation, or by Anderson-accelerated fixed-point iteration
 (``solvers.fixed_point``) with a Newton fallback, an iterated grid leg
 starting from the quintic extrapolation of the last six samples when
-they lie in the current region segment.  ``g`` is
-evaluated once per leg end and handed on.  A leg that ends off its
-side crosses: the sign change of ``g`` is localized by an outer
-bracketed root solve in time around the inner step solve, which
-evaluates ``g`` once per in-step leg it solves, and the crossing is
-classified as a point on the surface (``gv=0.0``, since the crossing
-point is a root of ``g`` along its leg) and recorded.  The completion
-leg starts on the surface, whatever the event's ``g`` residual, and may
-cross again, up to a small cap per step.  Each step ends in one
-commit; a numerical failure inside it is re-raised with the step's
-index, start time and starting side.
+they lie in the current region segment, and with the difference pairs
+the segment's last grid-leg solve handed on, which hold the slope of
+its step map.  ``g`` is evaluated once per leg end and handed on.  A
+leg that ends off its side crosses: the sign change of ``g`` is
+localized by an outer bracketed root solve in time around the inner
+step solve, which evaluates ``g`` once per in-step leg it solves, and
+the crossing is classified as a point on the surface (``gv=0.0``,
+since the crossing point is a root of ``g`` along its leg) and
+recorded.  The completion leg starts on the surface, whatever the
+event's ``g`` residual, and may cross again, up to a small cap per
+step.  Each step ends in one commit; a numerical failure inside it is
+re-raised with the step's index, start time and starting side.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -160,22 +161,28 @@ class Trajectory:
 
 
 def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
-               h: float | None = None, guess: Array | None = None
-               ) -> tuple[Array, SolveStats]:
+               h: float | None = None, guess: Array | None = None, *,
+               memory: list | None = None) -> tuple[Array, SolveStats]:
     """Solve x = x_a + h * dvf(t_a, x_a, t_b, x) for x, h = t_b - t_a by default.
 
     Explicit fields evaluate directly over t_b - t_a.  Implicit ones
     with a direct ``march`` take one march step of h.  The others solve
-    the step map by ``fixed_point``, whose Anderson mixing takes about
-    four updates on a coarse step (tau 0.05 to 0.1) where plain updates
-    take eight.  They start from ``guess``, else from the Euler
+    the step map by ``fixed_point`` from ``guess``, else from the Euler
     predictor (O(h^2) off), and fall back to Newton from the same start
     when the map diverges, overflows or has not converged after
     ``solvers.FP_MAX_ITER`` updates.  A grid leg passes ``h=tau``, which
-    its rounded end times miss by up to ulp(t), and an iterated one the
-    quintic extrapolation of the six samples up to x_a, O(h^6) off
-    (Hairer & Wanner, Solving ODEs II, section IV.8).  A zero-length leg
-    takes its field's path too, which returns x_a where the field is finite.
+    its rounded end times miss by up to ulp(t).  An iterated one also
+    passes ``memory``, its segment's list of the difference pairs
+    ``fixed_point`` hands from one solve to the next, and, once the six
+    samples up to x_a lie in its segment, their quintic extrapolation,
+    O(h^6) off.  Every grid leg of a segment steps by tau with one
+    field, so its step map has the slope of the last one's, exactly for
+    a linear field (Hairer & Wanner, Solving ODEs II, section IV.8,
+    reuse a Jacobian so).  On a coarse step (tau 0.05 to 0.1), where
+    plain updates take eight, the Anderson mixing takes about four
+    updates from no pairs, and a grid leg with its segment's pairs about
+    two.  A zero-length leg takes its field's path too, which returns
+    x_a where the field is finite.
     """
     if not dvf.is_implicit:
         return x_a + np.array(t_b - t_a) * dvf.evaluate(t_a, x_a, t_b, x_a), _EXPLICIT
@@ -193,7 +200,7 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     if guess is None:
         guess = step_map(x_a)
     try:
-        return fixed_point(step_map, guess)
+        return fixed_point(step_map, guess, memory=memory)
     except (DivergingFixedPoint, NoConvergence):
         return newton(lambda x: x - step_map(x), guess)
 
@@ -382,6 +389,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 marching = dvf.march is not None
                 warm_from = (segments[-1].start_index + 5 if dvf.is_implicit and not marching
                              else n_steps)
+                memory = []  # the difference pairs its grid legs hand on
                 entered = False
             try:
                 if crossings:
@@ -424,7 +432,8 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                     if leg is None:
                         x_new, stats = _solve_leg(
                             dvf, t_a, x, t_b, tau,
-                            _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None)
+                            _QUINTIC.dot(states[k - 5:k + 1]) if k >= warm_from else None,
+                            memory=memory)
                         g_new = surface.value(x_new)
                     else:
                         x_new, stats, g_new = leg

@@ -1,16 +1,19 @@
 """Nonlinear solvers used by the implicit stepping machinery.
 
 Small, dense, deterministic: fixed-point iteration accelerated by
-Anderson mixing of memory two once the map shows contraction, with a
-monitor that flags an expanding or overflowing map; undamped Newton
-with a forward-difference Jacobian; a Brent-style bracketed scalar root
-finder; and a root bound for a quadratic inequality, which acceptance
-criterion 7(e) checks against its series bound.  ``FP_MAX_ITER`` caps
+Anderson mixing of memory two once the map shows contraction, or from
+its first update with the difference pairs an earlier solve of the same
+slope handed on, with a monitor that flags an expanding or overflowing
+map; undamped Newton with a forward-difference Jacobian; a Brent-style
+bracketed scalar root finder; and a root bound for a quadratic
+inequality, which acceptance criterion 7(e) checks against its series
+bound.  ``FP_MAX_ITER`` caps
 the updates of every fixed-point solve and the iterations of every
 Newton solve.
 
-All functions are pure with respect to their inputs and safe to call
-concurrently.
+All functions are pure with respect to their inputs, but for the
+``memory`` list a fixed-point solve is handed and updates, and safe to
+call concurrently when they share no such list.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class SolveStats(NamedTuple):
 
     ``contraction_estimate`` is, for a fixed-point solve, the ratio of
     its first two update norms, both plain updates (0.0 after one
-    update); values below one indicate that the map contracts.  For a
+    update); values below one indicate that the map contracts.  A solve
+    whose first update mixed with carried difference pairs reports the
+    ratio r = |dg| / |dx| of the newest pair, which it gated on.  For a
     Newton solve it is the last ratio of successive step norms.
     A leg solved in closed form by the field's own ``march`` reports
     ``"direct"`` with no iterations.  A named tuple, immutable and
@@ -68,7 +73,8 @@ class SolveStats(NamedTuple):
     method_used: str  # "fixed_point", "newton", "direct" or "explicit"
 
 
-def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, SolveStats]:
+def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
+                memory: list | None = None) -> tuple[Array, SolveStats]:
     """Solve x = map(x) by Anderson-accelerated fixed-point iteration.
 
     Each update evaluates the map at the current iterate; the solve
@@ -84,6 +90,25 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, Solve
     whose update is not smaller than the one before ends the mixing for
     the rest of the solve.
 
+    ``memory``, a list the caller owns, carries up to two (dg, df)
+    differences of map images and updates, float lists, from one solve
+    to the next of maps with the same linear part, as the steps of one
+    field by one step size have (Hairer & Wanner, Solving ODEs II,
+    section IV.8, reuse a Jacobian so).  When the first update fails the
+    stop test and the carried ratio r = |dg| / |dg - df| of the newest
+    pair predicts at least three more plain updates, the next iterate is
+    the mix against the carried pairs, which lands on the fixed point of
+    an affine map whose slope they hold, and r is the reported
+    contraction.  That mix pays when its update is below r times the
+    first, what one plain update reaches; then mixing goes on, gated by
+    r on the next update, with the carried pairs until the solve has two
+    of its own.  A mix that does not pay empties the list, and the next
+    two updates, both plain, decide on mixing as the first two do.  A
+    solve that returns after more than one update hands on its first two
+    pairs, the list keeping the newest two: a solve's last iterates
+    differ by little more than rounding, so their slope is mostly
+    noise.  A solve of one update, or one that raises, hands nothing on.
+
     The observed ratio of successive update norms is monitored; a ratio
     >= 1 sustained over five updates aborts with DivergingFixedPoint,
     which for step maps signals that the step size exceeds the
@@ -95,8 +120,9 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, Solve
     prev_delta = -1.0
     contraction = 0.0
     expanding = 0
+    judge = 2  # the update whose ratio to the one before decides on mixing
     mixing = mixed = False  # mixing may pay; x is a mixed iterate
-    last = None  # the (map image, update) pair before this update's
+    seen = []  # the (map image, update) pair of every update before this one
     for it in range(1, FP_MAX_ITER + 1):
         g = np.asarray(map_(x), dtype=float)
         f = g - x
@@ -109,51 +135,74 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array) -> tuple[Array, Solve
             if expanding >= 5:
                 raise DivergingFixedPoint(
                     f"update ratio {ratio:.3g} >= 1 sustained over 5 iterations")
-            if it == 2:
-                contraction = ratio
-                mixing = ratio < 1.0
+            if it == judge:
+                if not mixed:
+                    mixing = ratio < 1.0
+                    if it == 2:
+                        contraction = ratio
+                elif ratio < contraction:  # the carried mix paid
+                    mixing, ratio = True, contraction
+                else:
+                    memory.clear()
+                    judge = 3
             elif mixed and ratio >= 1.0:
                 mixing = False  # the mix did not pay: plain updates from here on
         # delta <= FP_TOL passes the mixed test whatever |g|.
         if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.hypot(*g.tolist()))):
+            if it > 1 and memory is not None:
+                memory[:] = (memory + _differences((seen + [(g, f)])[:3]))[-2:]
             return g, SolveStats(it, delta, contraction, "fixed_point")
         x = g
-        if mixing and it > 2 and ratio * ratio * delta > tol:
-            x = _anderson_mix(g, f, last, before_last)
+        if it == 1:
+            if memory:
+                # r = |dg| / |dx| with dx = dg - df; a pair of equal
+                # iterates (dx = 0) predicts nothing.
+                dg, df = memory[-1]
+                r = math.hypot(*dg) / (math.hypot(*map(sub, dg, df)) or math.inf)
+                if r * r * delta > tol:
+                    contraction = r
+                    x = _anderson_mix(g, f, memory)
+        elif mixing and (it > 2 or memory) and ratio * ratio * delta > tol:
+            x = _anderson_mix(g, f, ((memory or []) + _differences(seen[-2:] + [(g, f)]))[-2:])
         mixed = x is not g
         prev_delta = delta
-        before_last, last = last, (g, f)
+        seen.append((g, f))
     raise NoConvergence(f"fixed point not converged in {FP_MAX_ITER} iterations")
 
 
-def _anderson_mix(g: Array, f: Array, last: tuple[Array, Array],
-                  before_last: tuple[Array, Array]) -> Array:
-    """The type-II Anderson iterate of memory two after the map image g.
+def _differences(seen: list[tuple[Array, Array]]) -> list[tuple[list, list]]:
+    """The (dg, df) differences of consecutive (map image, update) pairs,
+    as float lists, oldest first."""
+    return [((g1 - g0).tolist(), (f1 - f0).tolist())
+            for (g0, f0), (g1, f1) in zip(seen, seen[1:])]
 
-    ``f`` is g's update, and ``last`` and ``before_last`` the (map
-    image, update) pairs of the two updates before.  With the
-    differences dg_i, df_i of consecutive pairs, returns
-    g - c_1 dg_1 - c_2 dg_2 for the c minimizing |f - c_1 df_1 - c_2 df_2|,
-    its 2x2 normal equations solved by Cramer's rule in Python floats.
-    When their Gram determinant is not safely positive (always in one
-    dimension), the latest difference alone gives the secant step; when
-    its df is zero as well, g itself is returned.
+
+def _anderson_mix(g: Array, f: Array, pairs: list[tuple[list, list]]) -> Array:
+    """The type-II Anderson iterate after the map image g.
+
+    ``f`` is g's update, and ``pairs`` one or two (dg, df) differences
+    of earlier map images and updates, float lists, oldest first.
+    Returns g - c_1 dg_1 - c_2 dg_2 for the c minimizing
+    |f - c_1 df_1 - c_2 df_2|, its 2x2 normal equations solved by
+    Cramer's rule in Python floats.  With one pair, or when the Gram
+    determinant of two is not safely positive (always in one dimension),
+    the newest difference alone gives the secant step; when its df is
+    zero as well, g itself is returned.
     """
     gl, fl = g.tolist(), f.tolist()
-    g1, f1 = last[0].tolist(), last[1].tolist()
-    g0, f0 = before_last[0].tolist(), before_last[1].tolist()
-    dg1, df1 = list(map(sub, g1, g0)), list(map(sub, f1, f0))
-    dg2, df2 = list(map(sub, gl, g1)), list(map(sub, fl, f1))
-    a11 = sum(map(mul, df1, df1))
-    a12 = sum(map(mul, df1, df2))
+    dg2, df2 = pairs[-1]
     a22 = sum(map(mul, df2, df2))
-    b1 = sum(map(mul, df1, fl))
     b2 = sum(map(mul, df2, fl))
-    det = a11 * a22 - a12 * a12
-    if det > _GRAM_MIN * (a11 * a22):
-        c1 = (a22 * b1 - a12 * b2) / det
-        c2 = (a11 * b2 - a12 * b1) / det
-        return np.array([gi - c1 * u - c2 * v for gi, u, v in zip(gl, dg1, dg2)])
+    if len(pairs) == 2:
+        dg1, df1 = pairs[0]
+        a11 = sum(map(mul, df1, df1))
+        a12 = sum(map(mul, df1, df2))
+        b1 = sum(map(mul, df1, fl))
+        det = a11 * a22 - a12 * a12
+        if det > _GRAM_MIN * (a11 * a22):
+            c1 = (a22 * b1 - a12 * b2) / det
+            c2 = (a11 * b2 - a12 * b1) / det
+            return np.array([gi - c1 * u - c2 * v for gi, u, v in zip(gl, dg1, dg2)])
     if a22 > 0.0:
         c2 = b2 / a22
         return np.array([gi - c2 * v for gi, v in zip(gl, dg2)])

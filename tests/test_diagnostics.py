@@ -152,6 +152,42 @@ class TestTransitionStepLocalError:
         for coarse, fine in zip(worst, worst[1:]):
             assert abs(fine / coarse - 1.0) < 0.05, worst
 
+    @pytest.mark.parametrize("scheme", ["dmm-elliptic", "rk2"])
+    def test_error_constant_as_the_crossing_nears_tangency(self, scheme):
+        # The elliptic plus field is tangent to the unit circle at Q,
+        # x = (sqrt(28) - 2) / 6, y > 0.  The exact orbit through
+        # (1 - eps) Q enters the circle with transversality grad g . f
+        # from 2.48 (eps = 1e-1) down to 0.077 (eps = 1e-4).  The
+        # conservative step lands on the exact orbit curve, so its error
+        # is a phase error along it, which does not involve that
+        # transversality; rk2, the control, grows about 12 times.
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        spec = SYSTEMS["elliptic"]
+        sys_ = make_system("elliptic")
+        minus, plus = (resolve_scheme(scheme, sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS))
+        xq = (math.sqrt(28.0) - 2.0) / 6.0
+        q = np.array([xq, math.sqrt(1.0 - xq * xq)])
+        worst = {}
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            back = solve_ivp(lambda t, x: sys_.f_plus(t, x), (0.0, -0.4), (1.0 - eps) * q,
+                             method="DOP853", rtol=1e-13, atol=1e-15)
+            oracle, events = spec.oracle(sys_, back.y[:, -1], 0.0, 1.0)
+            t_star = events[0].t_star
+            for tau in (0.01, 0.005):
+                scaled = []
+                for theta in np.linspace(0.02, 0.98, 25):
+                    t0 = t_star - theta * tau
+                    traj = integrate(sys_, minus, plus, oracle(t0), t0, t0 + tau, tau)
+                    assert len(traj.events) == 1, (eps, tau, theta)
+                    err = np.linalg.norm(traj.states[-1] - oracle(traj.times[-1]))
+                    scaled.append(err / tau ** 3)
+                worst[eps, tau] = max(scaled)
+        if scheme == "dmm-elliptic":
+            assert max(worst.values()) < 1.5, worst
+        else:
+            assert min(worst[1e-4, tau] for tau in (0.01, 0.005)) > 10.0, worst
+
 
 class TestDiscreteTransversality:
     def test_products_positive_after_orientation(self, harmonic, harmonic_dmm):

@@ -510,9 +510,9 @@ class TestDirectSolve:
         legs = []
         solve_leg = engine._solve_leg
 
-        def recording(dvf, t_a, x_a, t_b, h=None, guess=None):
+        def recording(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
             legs.append((float(t_a), float(t_b), tuple(x_a.tolist())))
-            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess, memory=memory)
 
         monkeypatch.setattr(engine, "_solve_leg", recording)
         traj = run_harmonic(harmonic, harmonic_dmm, 3.0, 1e-2)
@@ -1002,13 +1002,13 @@ class TestStartingValue:
         legs = []
         solve_leg, fixed_point = engine._solve_leg, engine.fixed_point
 
-        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
+        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
             legs.append({"dvf": dvf, "t_a": t_a, "x_a": x_a.copy(), "t_b": t_b,
                          "h": h, "start": guess})
-            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess, memory=memory)
 
-        def recording_fixed_point(map_, x0):
-            x, stats = fixed_point(map_, x0)
+        def recording_fixed_point(map_, x0, *, memory=None):
+            x, stats = fixed_point(map_, x0, memory=memory)
             legs[-1]["guess"], legs[-1]["iterations"] = x0.copy(), stats.iterations
             return x, stats
 
@@ -1055,8 +1055,8 @@ class TestStartingValue:
         late = []
         solve_leg = engine._solve_leg
 
-        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
-            x, stats = solve_leg(dvf, t_a, x_a, t_b, h, guess)
+        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
+            x, stats = solve_leg(dvf, t_a, x_a, t_b, h, guess, memory=memory)
             if guess is not None and t_a > 64.0:
                 late.append(stats.iterations)
             return x, stats
@@ -1086,8 +1086,8 @@ class TestStartingValue:
         updates = []
         fixed_point = engine.fixed_point
 
-        def counting_fixed_point(map_, x0):
-            x, stats = fixed_point(map_, x0)
+        def counting_fixed_point(map_, x0, *, memory=None):
+            x, stats = fixed_point(map_, x0, memory=memory)
             updates.append(stats.iterations)
             return x, stats
 
@@ -1101,6 +1101,30 @@ class TestStartingValue:
                 assert len(traj.events) == n_events
                 assert conserved_error_series(traj, sys_).max() <= 1e-13
         assert sum(updates) / len(updates) <= 4.5
+
+    def test_coarse_steps_with_carried_pairs_average_at_most_three_updates(self,
+                                                                           monkeypatch):
+        # The runs above: a grid leg's solve starts from the difference
+        # pairs of the segment's last solve, which hold the slope of its
+        # affine step map, and mostly stops at its second update.
+        updates, carried = [], []
+        fixed_point = engine.fixed_point
+
+        def counting_fixed_point(map_, x0, *, memory=None):
+            carried.append(bool(memory))
+            x, stats = fixed_point(map_, x0, memory=memory)
+            updates.append(stats.iterations)
+            return x, stats
+
+        monkeypatch.setattr(engine, "fixed_point", counting_fixed_point)
+        for omega2 in [(3.0, 1.0), (0.5, 4.0)]:
+            sys_ = harmonic_system(*omega2)
+            schemes = [resolve_scheme("dmm-midpoint", sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS)]
+            for tau in (0.1, 0.05):
+                run_harmonic(sys_, schemes, 6.0, tau)
+        assert sum(updates) / len(updates) <= 3.0
+        assert sum(carried) >= len(updates) / 2
 
     @pytest.mark.parametrize("system, x0, T, tau", [
         ("harmonic", [1.0, 1.0], 20.0, 0.1),
@@ -1126,11 +1150,11 @@ class TestStartingValue:
                     return F(x)
                 return counted_F
 
-            def counting_fixed_point(map_, x0):
+            def counting_fixed_point(map_, x0, *, memory=None):
                 count["legs"] += 1
-                return fixed_point(counted(map_), x0)
+                return fixed_point(counted(map_), x0, memory=memory)
 
-            def cold_leg(dvf, t_a, x_a, t_b, h=None, guess=None):
+            def cold_leg(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
                 return solve_leg(dvf, t_a, x_a, t_b, h)
 
             with monkeypatch.context() as m:
@@ -1150,6 +1174,47 @@ class TestStartingValue:
                                    [ev.t_hat for ev in ref.events], rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-12)
         assert iterations <= ref_iterations
+
+
+class TestCarriedPairs:
+    """Grid legs hand their solves' difference pairs on within a segment."""
+
+    def test_seeded_coarse_problems_match_the_runs_without_them(self, monkeypatch):
+        # 40 problems drawn as the coarse-step ensemble draws them.  Each
+        # run against the same run with the pairs dropped: the same
+        # events, states and crossing times to rounding, conservation,
+        # and every crossing within 4 tau^2 of the exact one.
+        rng = np.random.default_rng(2024)
+        T = 6.0
+        solve_leg = engine._solve_leg
+
+        def without_pairs(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess)
+
+        for _ in range(40):
+            w2m, w2p = rng.uniform(0.5, 4.0, size=2)
+            radius, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            x0 = [radius * math.cos(angle), radius * math.sin(angle)]
+            tau = float(rng.choice([0.05, 0.1]))
+            sys_ = harmonic_system(w2m, w2p)
+            schemes = [resolve_scheme("dmm-midpoint", sys_, side)
+                       for side in (RegionSide.MINUS, RegionSide.PLUS)]
+            traj = integrate(sys_, *schemes, x0, 0.0, T, tau)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_solve_leg", without_pairs)
+                ref = integrate(sys_, *schemes, x0, 0.0, T, tau)
+            assert ([(ev.step_index, ev.side_from, ev.side_to) for ev in traj.events]
+                    == [(ev.step_index, ev.side_from, ev.side_to) for ev in ref.events])
+            np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose([ev.t_hat for ev in traj.events],
+                                       [ev.t_hat for ev in ref.events], rtol=0, atol=1e-12)
+            assert conserved_error_series(traj, sys_).max() <= 1e-11
+            allow = 4.0 * tau * tau
+            _, exact = harmonic_oracle(w2m, w2p, x0, 0.0, T + allow)
+            assert (sum(ev.t_star <= T - allow for ev in exact) <= len(traj.events)
+                    <= len(exact))
+            for ev, ex in zip(traj.events, exact):
+                assert abs(ev.t_hat - ex.t_star) <= allow
 
 
 class TestMultipleCrossings:
@@ -1294,20 +1359,20 @@ class TestConservation:
 
     def test_a_leg_falls_back_to_newton_after_the_solve_budget(self, harmonic, harmonic_dmm,
                                                                monkeypatch):
-        # At tau=0.8 three legs neither converge nor expand for five
+        # At tau=0.8 two legs neither converge nor expand for five
         # updates running: each spends the whole budget, then Newton
         # solves it.
         spent, newton_calls = [], []
         fixed_point, newton = engine.fixed_point, engine.newton
 
-        def recording_fixed_point(map_, x0):
+        def recording_fixed_point(map_, x0, *, memory=None):
             calls = []
 
             def counted(x):
                 calls.append(1)
                 return map_(x)
             try:
-                return fixed_point(counted, x0)
+                return fixed_point(counted, x0, memory=memory)
             except NoConvergence:
                 spent.append(len(calls))
                 raise
@@ -1319,8 +1384,8 @@ class TestConservation:
         monkeypatch.setattr(engine, "fixed_point", recording_fixed_point)
         monkeypatch.setattr(engine, "newton", counting_newton)
         traj = run_harmonic(harmonic, harmonic_dmm, 20.0, 0.8)
-        assert spent == [solvers.FP_MAX_ITER] * 3
-        assert len(newton_calls) == 3
+        assert spent == [solvers.FP_MAX_ITER] * 2
+        assert len(newton_calls) == 2
         assert conserved_error_series(traj, harmonic).max() <= 1e-13
 
 

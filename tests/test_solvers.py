@@ -286,6 +286,112 @@ class TestAndersonAcceleration:
             assert x is g
 
 
+def oscillator_step(omega2, x_a, tau):
+    """The oscillator's midpoint step map from x_a and its Euler start."""
+    oscillator = implicit_midpoint_dvf(lambda t, x: np.array([x[1], -omega2 * x[0]]))
+    return midpoint_step_map(oscillator, 0.0, np.array(x_a), tau)
+
+
+class TestCarriedPairs:
+    """Difference pairs carried from one solve to the next of the same slope."""
+
+    @pytest.mark.parametrize("omega2", [1.0, 4.0])
+    @pytest.mark.parametrize("x_a", [[1.0, 1.0], [0.3, -2.0], [-1.5, 0.7]])
+    def test_pairs_of_the_same_slope_stop_the_solve_at_the_second_update(self, omega2, x_a):
+        # Every step map of a linear field by one tau has the same
+        # affine slope; the pairs of a solve from elsewhere hold it.
+        memory = []
+        fixed_point(*oscillator_step(omega2, [0.8, -0.4], 0.1), memory=memory)
+        assert len(memory) == 2
+        step_map, start = oscillator_step(omega2, x_a, 0.1)
+        x_plain, plain = fixed_point(step_map, start)
+        x, stats = fixed_point(step_map, start, memory=memory)
+        assert plain.iterations >= 4 and stats.iterations == 2
+        assert np.linalg.norm(x - x_plain) <= 1e-14 * (1.0 + np.linalg.norm(x))
+        np.testing.assert_allclose(x, midpoint_harmonic_step(omega2, x_a, 0.1),
+                                   rtol=0, atol=1e-14)
+        # It reports the ratio it gated on, |dg| / |dx| of the newest
+        # carried pair: |M v| / |v| for M = (h/2) [[0, 1], [-omega^2, 0]],
+        # between h/2 and h omega^2 / 2.
+        bounds = sorted([0.05, 0.05 * omega2])
+        assert bounds[0] * (1 - 1e-9) <= stats.contraction_estimate <= bounds[1] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("omega2, other", [(1.0, 4.0), (4.0, 1.0)])
+    @pytest.mark.parametrize("x_a", [[1.0, 1.0], [0.3, -2.0], [-1.5, 0.7]])
+    def test_pairs_of_another_slope_cost_no_more_updates(self, omega2, other, x_a):
+        memory = []
+        fixed_point(*oscillator_step(other, [0.8, -0.4], 0.1), memory=memory)
+        step_map, start = oscillator_step(omega2, x_a, 0.1)
+        _, plain = fixed_point(step_map, start)
+        x, stats = fixed_point(step_map, start, memory=memory)
+        assert stats.iterations <= plain.iterations
+        np.testing.assert_allclose(x, midpoint_harmonic_step(omega2, x_a, 0.1),
+                                   rtol=0, atol=1e-14)
+
+    def test_the_list_never_holds_more_than_two_pairs(self):
+        rng = np.random.default_rng(5)
+        memory = []
+        for _ in range(40):
+            omega2 = float(rng.choice([1.0, 4.0]))
+            step_map, start = oscillator_step(omega2, rng.uniform(-2.0, 2.0, size=2), 0.1)
+            fixed_point(step_map, start + rng.normal(size=2) * 10.0 ** rng.uniform(-8, -1),
+                        memory=memory)
+            assert len(memory) <= 2
+            assert all(len(dg) == len(df) == 2 and all(type(v) is float for v in dg + df)
+                       for dg, df in memory)
+
+    def test_a_solve_of_one_update_leaves_the_list_as_it_was(self):
+        step_map, start = oscillator_step(1.0, [1.0, 1.0], 0.1)
+        memory = []
+        x, _ = fixed_point(step_map, start, memory=memory)
+        before = [(list(dg), list(df)) for dg, df in memory]
+        pairs = list(memory)
+        _, stats = fixed_point(step_map, x, memory=memory)
+        assert stats.iterations == 1
+        assert memory == before and all(a is b for a, b in zip(memory, pairs))
+
+    def test_one_dimensional_affine_map_takes_the_secant_step(self):
+        # Two pairs in one dimension are collinear: the newest alone
+        # gives the secant step, exact for an affine map.
+        memory = []
+        fixed_point(lambda x: 0.5 * x + 3.0, np.array([0.0]), memory=memory)
+        assert len(memory) == 2
+        x, stats = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]), memory=memory)
+        assert stats.iterations == 2 and stats.contraction_estimate == 0.5
+        assert abs(x[0] - 2.0) <= solvers.FP_TOL * 3.0
+
+    def test_three_dimensional_affine_map_converges(self):
+        # Two pairs cannot hold a slope in three dimensions: the carried
+        # mix pays or not, and the solve converges either way.
+        rng = np.random.default_rng(7)
+        A = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        memory = []
+        for b in rng.normal(size=(4, 3)):
+            x, stats = fixed_point(lambda x: A @ x + b, np.zeros(3), memory=memory)
+            fixed = np.linalg.solve(np.eye(3) - A, b)
+            assert np.linalg.norm(x - fixed) <= 1e-13 * (1.0 + np.linalg.norm(fixed))
+            assert len(memory) == 2
+
+    def test_a_mix_that_does_not_pay_empties_the_list(self):
+        # Pairs of slope 0.1 mixed into a map of slope 0.5: the mix's
+        # update, 4/9, is not below 0.1 times the first, 1.  The solve
+        # goes on plainly and hands on pairs of its own slope.
+        memory = []
+        fixed_point(lambda x: 0.1 * x + 1.0, np.array([0.0]), memory=memory)
+        assert [dg[0] / (dg[0] - df[0]) for dg, df in memory] == pytest.approx([0.1, 0.1])
+        x, stats = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]), memory=memory)
+        assert abs(x[0] - 2.0) <= solvers.FP_TOL * 3.0
+        assert stats.contraction_estimate == pytest.approx(0.1)
+        assert [dg[0] / (dg[0] - df[0]) for dg, df in memory] == pytest.approx([0.5, 0.5])
+
+    def test_expansive_map_still_diverges_with_pairs_of_a_contracting_one(self):
+        memory = []
+        fixed_point(*oscillator_step(1.0, [1.0, 1.0], 0.1), memory=memory)
+        one_d = [([dg[0]], [df[0]]) for dg, df in memory]
+        with pytest.raises(DivergingFixedPoint):
+            fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.0]), memory=one_d)
+
+
 class TestNewton:
     def test_sqrt2(self):
         x, stats = newton(lambda x: x * x - 2.0, np.array([1.0]))
