@@ -19,7 +19,9 @@ block's next row and ``g`` as its grid leg; other legs are solved, by
 a one-step march (a step the march could not take, or a row whose
 ``g`` is not finite, is solved again so that it raises), by explicit
 evaluation, or by Anderson-accelerated fixed-point iteration
-(``solvers.fixed_point``) with a Newton fallback, an iterated grid leg
+(``solvers.fixed_point``) with a Newton fallback, on the step map of
+the field's float ``leg_map`` when its ``evaluate`` carries one (the
+catalog ``dmm-midpoint`` fields; see ``schemes``), an iterated grid leg
 starting from the quintic extrapolation of the last six samples when
 they lie in the current region segment, and with the difference pairs
 the segment's last grid-leg solve handed on, which hold the slope of
@@ -32,7 +34,10 @@ since the crossing point is a root of ``g`` along its leg) and
 recorded.  The completion leg starts on the surface, whatever the
 event's ``g`` residual, and may cross again, up to a small cap per
 step.  Each step ends in one commit; a numerical failure inside it is
-re-raised with the step's index, start time and starting side.
+re-raised with the step's index, start time and starting side.  Each
+region segment keeps psi at its start, x0 or a crossing point, as the
+level its samples are measured against; a psi that overflows there is
+such a failure (step 0 for x0), not an inf level.
 
 An artificial perturbation of the localized crossing time can be
 injected (clamped to the step interval) to study how crossing-time
@@ -64,6 +69,7 @@ from .errors import (
 from .model import (
     _PLUS,
     Classification,
+    ConservedSet,
     PwsSystem,
     RegionSide,
     SwitchingSurface,
@@ -167,7 +173,10 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
 
     Explicit fields evaluate directly over t_b - t_a.  Implicit ones
     with a direct ``march`` take one march step of h.  The others solve
-    the step map by ``fixed_point`` from ``guess``, else from the Euler
+    the step map, built by the ``leg_map`` that ``evaluate`` carries
+    (Python floats, the same bits) or else as
+    ``x_a + h * evaluate(t_a, x_a, t_b, x)`` on arrays, by
+    ``fixed_point`` from ``guess``, else from the Euler
     predictor (O(h^2) off), and fall back to Newton from the same start
     when the map diverges, overflows or has not converged after
     ``solvers.FP_MAX_ITER`` updates.  A grid leg passes ``h=tau``, which
@@ -192,10 +201,14 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
         return dvf.march(t_a, x_a, h, 1)[0], _DIRECT
 
     evaluate = dvf.evaluate
-    h = np.array(h)  # 0-d, as schemes._HALF: half the cost of a product, same bits
+    leg_map = getattr(evaluate, "leg_map", None)
+    if leg_map is not None:
+        step_map = leg_map(t_a, x_a, t_b, h)
+    else:
+        h = np.array(h)  # 0-d, as schemes._HALF: half the cost of a product, same bits
 
-    def step_map(x):
-        return x_a + h * evaluate(t_a, x_a, t_b, x)
+        def step_map(x):
+            return x_a + h * evaluate(t_a, x_a, t_b, x)
 
     if guess is None:
         guess = step_map(x_a)
@@ -288,6 +301,17 @@ def _at_step(exc: NumericalError, k: int, t: float, side: RegionSide) -> Numeric
                      k=k, t=t, side=side)
 
 
+def _level(conserved: ConservedSet, x: Array) -> Array:
+    """psi at x, the level a region segment keeps, after raising
+    ``EvaluationError`` unless it is finite.  Called under
+    ``np.errstate(over="ignore")``: psi of a state near 1e155 overflows,
+    and the error says so where numpy would only warn."""
+    psi = conserved.values(x)
+    if not all(map(math.isfinite, psi.tolist())):
+        raise EvaluationError(f"psi is not finite at x={x!r}")
+    return psi
+
+
 def _first_block(segments: list[RegionSegment]) -> int:
     """Rows of the first march of the segment just entered.
 
@@ -367,7 +391,6 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                 "return g(x0) for each"), 0, t0, side)
 
     events: list[CrossingEvent] = []
-    segments = [RegionSegment(0, side, sys.conserved(side).values(x0))]
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x = x0
@@ -377,9 +400,14 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
     # step end.  After a crossing, t_a, x and g_x are that leg's start.
     k = crossings = 0
     entered = True  # the side changed: take its field
-    # An escaping orbit overflows to inf, which the finiteness checks
-    # turn into a typed error; numpy need not warn about it first.
+    # An escaping orbit, or psi at a far-out x0, overflows to inf, which
+    # the finiteness checks turn into a typed error; numpy need not warn
+    # about it first.
     with np.errstate(over="ignore"):
+        try:
+            segments = [RegionSegment(0, side, _level(sys.conserved(side), x0))]
+        except EvaluationError as exc:
+            raise _at_step(exc, 0, t0, side) from exc
         while k < n_steps:
             if entered:
                 # Grid legs from step warm_from on start from the quintic:
@@ -470,7 +498,7 @@ def integrate(sys: PwsSystem, scheme_minus: DiscreteVectorField,
                     ev.perturbation_applied = t_p - ev.t_hat
                     events.append(ev)
                     segments.append(RegionSegment(
-                        k + 1, side_to, sys.conserved(side_to).values(ev.x_hat)))
+                        k + 1, side_to, _level(sys.conserved(side_to), ev.x_hat)))
                     crossings += 1
                     side, entered = side_to, True
                     if t_p < t_b:

@@ -19,6 +19,24 @@ scalar quadratic, solved in a loop over Python floats.  Fields without
 it (the midpoint rule, user fields) are solved by fixed-point iteration
 with a Newton fallback.
 
+The ``evaluate`` of such a field may carry, as its attribute
+``leg_map``, a map ``(t_a, x_a, t_b, h) -> step_map`` whose
+``step_map(x)`` returns ``x_a + h * evaluate(t_a, x_a, t_b, x)``, a
+float64 2-array with the same bits, computed on Python floats; the
+engine iterates it in place of that expression on arrays.  It travels
+with that function, so a copy of the field made with
+``dataclasses.replace(dvf, evaluate=...)`` solves through the new
+``evaluate``.  ``implicit_midpoint_dvf`` attaches one when its vector
+field carries a ``kernel(t, x, y) -> (xdot, ydot)`` on Python floats,
+as the catalog fields do (see ``systems``).  A kernel repeats the
+operations of its field in their order.  On Python floats ``**``
+raises ``OverflowError`` and ``/`` raises ``ZeroDivisionError`` where
+numpy returns inf or nan, so a kernel squares by ``x * x``, never
+``x ** 2``, and does not divide; the elliptic field squares by numpy's
+scalar power, so its kernel calls ``math.pow`` for those bits and
+catches the overflow.
+User fields carry no kernel and keep the array path.
+
 A field holds no conserved quantity: that belongs to the system, and
 the engine reads it from ``sys.conserved(side)`` whatever the scheme.
 The implicit midpoint field preserves quadratic invariants of linear
@@ -41,6 +59,8 @@ from .model import VectorField
 Array = np.ndarray
 DvfFunc = Callable[[float, Array, float, Array], Array]
 MarchFunc = Callable[[float, Array, float, int], Array]
+KernelFunc = Callable[[float, float, float], tuple[float, float]]
+LegMapFunc = Callable[[float, Array, float, float], Callable[[Array], Array]]
 
 # An array times a 0-d array costs about half what it costs times a
 # Python float, and rounds the same.
@@ -63,14 +83,42 @@ def implicit_midpoint_dvf(f: VectorField) -> DiscreteVectorField:
     """Implicit midpoint rule: evaluate f at the averaged endpoint.
 
     Second order and symmetric; exactly conservative for a quadratic
-    invariant of a linear field.
+    invariant of a linear field.  When ``f`` carries a float ``kernel``,
+    as the catalog fields do, ``evaluate`` carries the leg map built
+    from it (see the module docstring).
     """
 
     def evaluate(t_a, x_a, t_b, x_b):
         return f(0.5 * (t_a + t_b), (x_a + x_b) * _HALF)
 
+    kernel = getattr(f, "kernel", None)
+    if kernel is not None:
+        evaluate.leg_map = _midpoint_leg_map(kernel)
     return DiscreteVectorField(evaluate, order=2, is_implicit=True, is_symmetric=True,
                                name="dmm-midpoint")
+
+
+def _midpoint_leg_map(kernel: KernelFunc) -> LegMapFunc:
+    """The leg map of the midpoint rule on a field with this kernel.
+
+    Its step maps take the operations of ``x_a + h * evaluate(t_a, x_a,
+    t_b, x)`` in their order, on Python floats: the same bits, at about
+    a third of the cost of five numpy calls on 2-vectors.
+    """
+    array = np.array
+
+    def leg_map(t_a, x_a, t_b, h):
+        t = 0.5 * (t_a + t_b)
+        a1, a2 = x_a.tolist()
+
+        def step_map(x):
+            x1, x2 = x.tolist()
+            f1, f2 = kernel(t, (a1 + x1) * 0.5, (a2 + x2) * 0.5)
+            return array([a1 + h * f1, a2 + h * f2])
+
+        return step_map
+
+    return leg_map
 
 
 def elliptic_dmm_dvf(a: float) -> DiscreteVectorField:

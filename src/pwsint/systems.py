@@ -13,10 +13,17 @@ plane, switching on the line y = 0.  Each side conserves its own energy
 ``elliptic``: cubic system xdot = 2y, ydot = 3x^2 + a with a different
 parameter inside and outside a circle centered at the origin.  Each side
 conserves y^2 - x^3 - a x, whose level sets are elliptic curves.
+
+Each factory gives each region's field callable a ``kernel(t, x, y)``
+attribute: the same field on Python floats, with the same bits, from
+which ``implicit_midpoint_dvf`` builds its float leg map (see
+``schemes``).  It belongs to that callable, so a copy of the system
+whose ``f_minus`` or ``f_plus`` is replaced has none on that side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,10 +48,16 @@ def harmonic_system(omega2_minus: float = 3.0, omega2_plus: float = 1.0) -> PwsS
     def make_field(w2):
         # (y, -w2 x) as one product: 1.0 * y is y, and (-w2) * x is
         # -(w2 * x), signed zeros, infinities and nan included.
-        c = np.array([1.0, -w2])
+        nw2 = -w2
+        c = np.array([1.0, nw2])
 
         def f(t, x):
             return x[::-1] * c
+
+        def kernel(t, x, y):
+            return y, nw2 * x
+
+        f.kernel = kernel
         return f
 
     def make_conserved(w2):
@@ -83,6 +96,19 @@ def elliptic_system(a_minus: float = -3.0, a_plus: float = -2.0,
     def make_field(a):
         def f(t, x):
             return np.array([2.0 * x[1], 3.0 * x[0] ** 2 + a])
+
+        def kernel(t, x, y):
+            # x[0] ** 2 above is numpy's scalar power, the C library's
+            # pow, which rounds differently from x * x about once in a
+            # thousand squares; math.pow calls the same pow, and raises
+            # only where numpy returns inf.
+            try:
+                xx = math.pow(x, 2.0)
+            except OverflowError:
+                xx = math.inf
+            return 2.0 * y, 3.0 * xx + a
+
+        f.kernel = kernel
         return f
 
     def make_conserved(a):

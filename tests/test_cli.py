@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,18 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "step 806 at t=0.806: the step equation" in err
+
+    @pytest.mark.parametrize("x0", ["1e155,1", "1e200,1"])
+    def test_psi_that_overflows_at_x0_is_exit_3(self, tmp_path, capsys, x0):
+        # Numpy's overflow warning would be a crash under -W error; the run
+        # writes no CSV with psi_1=inf and psi_error=nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["integrate", "--out", str(tmp_path / "p"), "--set", f"x0={x0}",
+                       "--set", "T=1"])
+        assert rc == 3
+        assert "step 0 at t=0.0: psi is not finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_set_without_equals_is_exit_2(self, tmp_path, capsys):
         rc = main(["integrate", "--out", str(tmp_path / "s"), "--set", "T"])

@@ -426,6 +426,32 @@ class TestIntegrate:
             want = 1.0 if seg.side is RegionSide.PLUS else 3.0
             np.testing.assert_allclose(seg.psi_ref, [want], rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("x0", [(1e155, 1.0), (1e200, 1.0), (1.0, 1e155)])
+    def test_psi_that_overflows_at_x0_raises_at_step_0(self, harmonic, harmonic_dmm, x0):
+        # psi = (w2 x^2 + y^2) / 2 overflows, though x0 and g(x0) are finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="psi is not finite") as info:
+                integrate(harmonic, *harmonic_dmm, x0, 0.0, 1.0, 1e-3)
+        assert (info.value.k, info.value.t, info.value.side) == (0, 0.0, RegionSide.PLUS)
+        assert str(info.value).startswith("step 0 at t=0.0: ")
+
+    def test_psi_that_overflows_at_a_crossing_raises_at_its_step(self, harmonic,
+                                                                  harmonic_dmm):
+        # The plus side's psi overflows everywhere; the run starts on the
+        # minus side and fails where it enters the plus side.
+        huge = ConservedSet(psi=lambda x: np.array([1e300 * (1e300 + 0.0 * x[..., 0])]),
+                            grad_psi=lambda x: np.array([[x[0], x[1]]]), d_psi=1)
+        sys_ = dataclasses.replace(harmonic, conserved_plus=huge)
+        x0 = (1.0, -1.0)
+        first = integrate(harmonic, *harmonic_dmm, x0, 0.0, 2.0, 1e-2).events[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="psi is not finite") as info:
+                integrate(sys_, *harmonic_dmm, x0, 0.0, 2.0, 1e-2)
+        assert first.side_to is RegionSide.PLUS
+        assert (info.value.k, info.value.side) == (first.step_index, RegionSide.MINUS)
+
 
 def wiggle_system(freq: float, amp_minus: float, amp_plus: float,
                   offset: float) -> PwsSystem:
@@ -1215,6 +1241,116 @@ class TestCarriedPairs:
                     <= len(exact))
             for ev, ex in zip(traj.events, exact):
                 assert abs(ev.t_hat - ex.t_star) <= allow
+
+
+def guarded(dvf):
+    """``dvf`` with its leg map, and an ``evaluate`` that fails if called."""
+    def evaluate(t_a, x_a, t_b, x_b):
+        raise AssertionError("an array step map was taken")
+
+    evaluate.leg_map = dvf.evaluate.leg_map
+    return dataclasses.replace(dvf, evaluate=evaluate)
+
+
+def unmapped(dvf):
+    """``dvf`` on the array step map: an ``evaluate`` with no leg map."""
+    evaluate = dvf.evaluate
+    return dataclasses.replace(dvf, evaluate=lambda *args: evaluate(*args))
+
+
+def fixed_point_updates(monkeypatch, run):
+    """The result of ``run()`` and the updates of each fixed-point solve it made."""
+    updates = []
+    fixed_point = engine.fixed_point
+
+    def counting(map_, x0, *, memory=None):
+        res = fixed_point(map_, x0, memory=memory)
+        updates.append(res[1].iterations)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "fixed_point", counting)
+        return run(), updates
+
+
+class TestFloatLegMap:
+    """Iterated legs of a field whose evaluate carries a leg map solve
+    through it, with the bits of the array step map; others do not."""
+
+    def test_seeded_coarse_problems_take_the_leg_map(self, monkeypatch):
+        # 40 problems drawn as the coarse-step ensemble draws them.  The
+        # leg map solves every iterated leg (evaluate is never called),
+        # with the array path's bits and fixed-point updates.
+        rng = np.random.default_rng(33)
+        total = 0
+        for _ in range(40):
+            w2m, w2p = rng.uniform(0.5, 4.0, size=2)
+            radius, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            x0 = [radius * math.cos(angle), radius * math.sin(angle)]
+            tau = float(rng.choice([0.05, 0.1]))
+            sys_ = harmonic_system(w2m, w2p)
+            schemes = scheme_pair(sys_, "dmm-midpoint")
+            traj, updates = fixed_point_updates(monkeypatch, lambda: integrate(
+                sys_, *map(guarded, schemes), x0, 0.0, 6.0, tau))
+            ref, ref_updates = fixed_point_updates(monkeypatch, lambda: integrate(
+                sys_, *map(unmapped, schemes), x0, 0.0, 6.0, tau))
+            assert_same_run(traj, ref)
+            assert updates == ref_updates
+            total += sum(updates)
+        assert total > 5_000
+
+    @pytest.mark.parametrize("tau", [0.02, 0.8])
+    def test_elliptic_midpoint_takes_the_leg_map(self, elliptic, monkeypatch, tau):
+        # At tau=0.8 fixed-point updates overflow and Newton solves those legs.
+        schemes = scheme_pair(elliptic, "dmm-midpoint")
+        traj, updates = fixed_point_updates(monkeypatch, lambda: integrate(
+            elliptic, *map(guarded, schemes), [-1.0, -1.0], 0.0, 3.0, tau))
+        ref, ref_updates = fixed_point_updates(monkeypatch, lambda: integrate(
+            elliptic, *map(unmapped, schemes), [-1.0, -1.0], 0.0, 3.0, tau))
+        assert_same_run(traj, ref)
+        assert updates == ref_updates and traj.events
+
+    @pytest.mark.parametrize("tau", [0.1, 1.5])
+    def test_a_replaced_evaluate_sees_every_leg(self, harmonic, harmonic_dmm, monkeypatch,
+                                                tau):
+        # Grid, in-step and completion legs, and at tau=1.5 Newton legs:
+        # every evaluation the step maps make is one call of the new
+        # evaluate, and the run is the leg map's, bit for bit.
+        calls = []
+
+        def recording(dvf):
+            evaluate = dvf.evaluate
+
+            def evaluate_(t_a, x_a, t_b, x_b):
+                calls.append((t_a, t_b))
+                return evaluate(t_a, x_a, t_b, x_b)
+            return dataclasses.replace(dvf, evaluate=evaluate_)
+
+        legs, maps = [], []
+        solve_leg, fixed_point, newton = engine._solve_leg, engine.fixed_point, engine.newton
+
+        def recording_leg(dvf, t_a, x_a, t_b, h=None, guess=None, *, memory=None):
+            legs.append((t_a, t_b, guess is None))
+            return solve_leg(dvf, t_a, x_a, t_b, h, guess, memory=memory)
+
+        def counted(map_):
+            def map_counted(x):
+                maps.append(1)
+                return map_(x)
+            return map_counted
+
+        monkeypatch.setattr(engine, "_solve_leg", recording_leg)
+        monkeypatch.setattr(engine, "fixed_point",
+                            lambda map_, x0, *, memory=None: fixed_point(counted(map_), x0,
+                                                                         memory=memory))
+        monkeypatch.setattr(engine, "newton", lambda F, x0: newton(counted(F), x0))
+        traj = run_harmonic(harmonic, [recording(dvf) for dvf in harmonic_dmm], 20.0, tau)
+        # One Euler predictor per leg without a starting value.
+        assert len(calls) == len(maps) + sum(cold for _, _, cold in legs)
+        assert {(t_a, t_b) for t_a, t_b, _ in legs} == set(calls)
+        assert len(traj.events) >= 7
+        monkeypatch.undo()
+        assert_same_run(traj, run_harmonic(harmonic, harmonic_dmm, 20.0, tau))
 
 
 class TestMultipleCrossings:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from pwsint import (
+    PwsSystem,
     RegionSide,
     conserved_error_series,
     elliptic_dmm_dvf,
@@ -70,6 +72,89 @@ class TestImplicitMidpoint:
         a = dvf.evaluate(0.0, np.array([1.0, 1.0]), 0.1, np.array([1.09, 0.9]))
         b = dvf.evaluate(0.1, np.array([1.09, 0.9]), 0.0, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(a, b)
+
+
+def array_step_map(dvf, t_a, x_a, t_b, h):
+    """The step map of a leg on arrays, as the engine builds it for a
+    field whose ``evaluate`` carries no leg map."""
+    h = np.array(h)
+    return lambda x: x_a + h * dvf.evaluate(t_a, x_a, t_b, x)
+
+
+def midpoint_schemes(sys_):
+    return [resolve_scheme("dmm-midpoint", sys_, side)
+            for side in (RegionSide.MINUS, RegionSide.PLUS)]
+
+
+class TestFloatLegMap:
+    """The catalog midpoint fields solve through a float leg map with the
+    bits of the array step map; a replaced callable has none."""
+
+    # A grid leg (h = tau, which its rounded end times miss), a leg whose
+    # h is its time difference, and a backward one.
+    LEGS = [(0.3, 0.4, 0.1), (1.7, 1.75, 1.75 - 1.7), (0.5, 0.45, 0.45 - 0.5)]
+
+    @pytest.mark.parametrize("side", [RegionSide.MINUS, RegionSide.PLUS])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_float_step_map_has_the_bits_of_the_array_one(self, name, side):
+        # Every catalog midpoint field, on either side, carries a leg map.
+        dvf = resolve_scheme("dmm-midpoint", make_system(name), side)
+        leg_map = dvf.evaluate.leg_map
+        rng = np.random.default_rng(33)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]
+        states = [np.array([a, b]) for a in special for b in special]
+        for scale in (1e-3, 1.0, 1e3):
+            states += list(scale * rng.standard_normal((40, 2)))
+        # Values whose square numpy's scalar power (libm's pow) rounds
+        # otherwise than x * x; x_a = x puts one at the midpoint.
+        odd = [v for v in rng.uniform(-2.0, 2.0, 20_000).tolist()
+               if np.float64(v) ** 2 != v * v][:5]
+        assert odd
+        pairs = ([(x, np.roll(x, 1)) for x in states] + list(zip(states, states[1:]))
+                 + [(np.array([v, 0.5]),) * 2 for v in odd])
+        for t_a, t_b, h in self.LEGS:
+            for x_a, x in pairs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = leg_map(t_a, x_a, t_b, h)(x)
+                with np.errstate(all="ignore"):
+                    want = array_step_map(dvf, t_a, x_a, t_b, h)(x)
+                assert got.shape == want.shape == (2,) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (t_a, x_a, x)
+                assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+    def test_user_field_has_no_leg_map(self):
+        dvf = implicit_midpoint_dvf(lambda t, x: np.array([x[1], -x[0]]))
+        assert getattr(dvf.evaluate, "leg_map", None) is None
+
+    def test_replaced_field_is_integrated(self, harmonic):
+        # The catalog omega^2 = 2 field as a user callable, without a kernel.
+        c = np.array([1.0, -2.0])
+
+        def g(t, x):
+            return x[::-1] * c
+
+        replaced = dataclasses.replace(harmonic, f_minus=g)
+        user = PwsSystem(dim=2, f_minus=g, f_plus=harmonic.f_plus, surface=harmonic.surface,
+                         conserved_minus=harmonic.conserved_minus,
+                         conserved_plus=harmonic.conserved_plus, name="user")
+        minus, plus = midpoint_schemes(replaced)
+        assert getattr(minus.evaluate, "leg_map", None) is None
+        assert plus.evaluate.leg_map is not None
+        run = integrate(replaced, minus, plus, (1.0, 1.0), 0.0, 10.0, 0.1)
+        same = integrate(user, *midpoint_schemes(user), (1.0, 1.0), 0.0, 10.0, 0.1)
+        # The catalog system with that field takes its leg map on both sides.
+        catalog = make_system("harmonic", omega2_minus=2.0, omega2_plus=1.0)
+        other = integrate(catalog, *midpoint_schemes(catalog), (1.0, 1.0), 0.0, 10.0, 0.1)
+        unreplaced = integrate(harmonic, *midpoint_schemes(harmonic), (1.0, 1.0), 0.0, 10.0, 0.1)
+        assert len(run.events) >= 3
+        for ref in (same, other):
+            assert run.states.tobytes() == ref.states.tobytes()
+            assert ([(ev.step_index, ev.t_hat, ev.x_hat.tobytes()) for ev in run.events]
+                    == [(ev.step_index, ev.t_hat, ev.x_hat.tobytes()) for ev in ref.events])
+        assert ([ev.psi_level_residual for ev in run.events]
+                == [ev.psi_level_residual for ev in same.events])
+        assert not np.array_equal(run.states, unreplaced.states)
 
 
 class TestEllipticDmm:
