@@ -173,13 +173,16 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
 
     Explicit fields evaluate directly over t_b - t_a.  Implicit ones
     with a direct ``march`` take one march step of h.  The others solve
-    the step map, built by the ``leg_map`` that ``evaluate`` carries
-    (Python floats, the same bits) or else as
-    ``x_a + h * evaluate(t_a, x_a, t_b, x)`` on arrays, by
-    ``fixed_point`` from ``guess``, else from the Euler
+    the step map by ``fixed_point`` from ``guess``, else from the Euler
     predictor (O(h^2) off), and fall back to Newton from the same start
     when the map diverges, overflows or has not converged after
-    ``solvers.FP_MAX_ITER`` updates.  A grid leg passes ``h=tau``, which
+    ``solvers.FP_MAX_ITER`` updates.  When ``evaluate`` carries a
+    ``leg_map``, its step map is solved on lists of Python floats, with
+    the same bits: x_a and the start are handed over as floats, and the
+    accepted state becomes the leg's one array; the Newton fallback
+    calls that step map on the floats of its arrays.  Otherwise
+    ``x_a + h * evaluate(t_a, x_a, t_b, x)`` is solved on arrays,
+    through ``fixed_point``'s array adapter.  A grid leg passes ``h=tau``, which
     its rounded end times miss by up to ulp(t).  An iterated one also
     passes ``memory``, its segment's list of the difference pairs
     ``fixed_point`` hands from one solve to the next, and, once the six
@@ -203,12 +206,19 @@ def _solve_leg(dvf: DiscreteVectorField, t_a: float, x_a: Array, t_b: float,
     evaluate = dvf.evaluate
     leg_map = getattr(evaluate, "leg_map", None)
     if leg_map is not None:
-        step_map = leg_map(t_a, x_a, t_b, h)
-    else:
-        h = np.array(h)  # 0-d, as schemes._HALF: half the cost of a product, same bits
+        a = x_a.tolist()
+        step_map = leg_map(t_a, a, t_b, h)
+        start = step_map(a) if guess is None else guess.tolist()
+        try:
+            x, stats = fixed_point(step_map, start, memory=memory)
+        except (DivergingFixedPoint, NoConvergence):
+            return newton(lambda x: x - np.array(step_map(x.tolist())), np.array(start))
+        return np.array(x), stats
 
-        def step_map(x):
-            return x_a + h * evaluate(t_a, x_a, t_b, x)
+    h = np.array(h)  # 0-d, as schemes._HALF: half the cost of a product, same bits
+
+    def step_map(x):
+        return x_a + h * evaluate(t_a, x_a, t_b, x)
 
     if guess is None:
         guess = step_map(x_a)

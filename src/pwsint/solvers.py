@@ -11,6 +11,13 @@ bound.  ``FP_MAX_ITER`` caps
 the updates of every fixed-point solve and the iterations of every
 Newton solve.
 
+The fixed-point iteration works on lists of Python floats: its
+iterates, updates, norms and mixes cost a few list operations each,
+where numpy pays a call per operation on a small vector, and none of
+its decisions depends on a BLAS library.  A map on arrays, started
+from an array, is solved through a thin adapter and gets arrays back.
+Newton works on arrays.
+
 All functions are pure with respect to their inputs, but for the
 ``memory`` list a fixed-point solve is handed and updates, and safe to
 call concurrently when they share no such list.
@@ -73,22 +80,33 @@ class SolveStats(NamedTuple):
     method_used: str  # "fixed_point", "newton", "direct" or "explicit"
 
 
-def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
-                memory: list | None = None) -> tuple[Array, SolveStats]:
+def fixed_point(map_: Callable, x0: list[float] | Array, *,
+                memory: list | None = None) -> tuple[list[float] | Array, SolveStats]:
     """Solve x = map(x) by Anderson-accelerated fixed-point iteration.
+
+    The iterates are lists of Python floats: ``map_`` takes one and
+    returns its image, and the solve returns the image it accepted.  An
+    ``x0`` that is not a list takes the array adapter
+    (``_fixed_point_on_arrays``): ``map_`` is called on arrays, and the
+    solve returns the array ``map_`` returned.  The iteration is the
+    same either way, on Python floats, so no decision of it depends on
+    a BLAS library.
 
     Each update evaluates the map at the current iterate; the solve
     stops at the first update below the mixed tolerance and returns that
-    map image.  The first two updates are plain (x <- map(x)), and their
+    map image.  An update's norm is ``math.sqrt`` of the sum of its
+    squares.  The first two updates are plain (x <- map(x)), and their
     ratio is the map's observed contraction.  Only a contracting map is
-    mixed: from the third update on, while the last update ratio r
-    predicts at least three more plain updates (r^2 * update above the
-    tolerance), the next iterate is the type-II Anderson mix of memory
-    two (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which generically
-    solves an affine map in two dimensions exactly from three updates.
-    Any other solve takes exactly the plain iterates.  A mixed iterate
-    whose update is not smaller than the one before ends the mixing for
-    the rest of the solve.
+    mixed: when that ratio is below one, or else the ratio of the second
+    and third updates is (a non-normal map that contracts may first
+    expand an update), then from the third update on, while the last
+    update ratio r predicts at least three more plain updates (r^2 *
+    update above the tolerance), the next iterate is the type-II
+    Anderson mix of memory two (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011), which generically solves an affine map in two dimensions
+    exactly from three updates.  Any other solve takes exactly the plain
+    iterates.  A mixed iterate whose update is not smaller than the one
+    before ends the mixing for the rest of the solve.
 
     ``memory``, a list the caller owns, carries up to two (dg, df)
     differences of map images and updates, float lists, from one solve
@@ -102,9 +120,9 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
     contraction.  That mix pays when its update is below r times the
     first, what one plain update reaches; then mixing goes on, gated by
     r on the next update, with the carried pairs until the solve has two
-    of its own.  A mix that does not pay empties the list, and the next
-    two updates, both plain, decide on mixing as the first two do.  A
-    solve that returns after more than one update hands on its first two
+    of its own.  A mix that does not pay empties the list, and mixing is
+    decided on the ratio of the next two updates, both plain.  A solve
+    that returns after more than one update hands on its first two
     pairs, the list keeping the newest two: a solve's last iterates
     differ by little more than rounding, so their slope is mostly
     noise.  A solve of one update, or one that raises, hands nothing on.
@@ -116,7 +134,9 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
     (an infinite tolerance would accept it).  A solve that has not
     converged after FP_MAX_ITER updates raises NoConvergence.
     """
-    x = np.asarray(x0, dtype=float)
+    if not isinstance(x0, list):
+        return _fixed_point_on_arrays(map_, x0, memory)
+    x = x0
     prev_delta = -1.0
     contraction = 0.0
     expanding = 0
@@ -124,9 +144,9 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
     mixing = mixed = False  # mixing may pay; x is a mixed iterate
     seen = []  # the (map image, update) pair of every update before this one
     for it in range(1, FP_MAX_ITER + 1):
-        g = np.asarray(map_(x), dtype=float)
-        f = g - x
-        delta = math.sqrt(f.dot(f))
+        g = map_(x)
+        f = list(map(sub, g, x))
+        delta = math.sqrt(sum(map(mul, f, f)))
         if delta == math.inf:
             raise DivergingFixedPoint(f"update norm overflows at iteration {it}")
         if prev_delta > 0.0:
@@ -140,6 +160,8 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
                     mixing = ratio < 1.0
                     if it == 2:
                         contraction = ratio
+                        if not mixing:  # a contracting non-normal map may expand one update
+                            judge = 3
                 elif ratio < contraction:  # the carried mix paid
                     mixing, ratio = True, contraction
                 else:
@@ -148,7 +170,7 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
             elif mixed and ratio >= 1.0:
                 mixing = False  # the mix did not pay: plain updates from here on
         # delta <= FP_TOL passes the mixed test whatever |g|.
-        if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.hypot(*g.tolist()))):
+        if delta <= FP_TOL or delta <= (tol := FP_TOL * (1.0 + math.hypot(*g))):
             if it > 1 and memory is not None:
                 memory[:] = (memory + _differences((seen + [(g, f)])[:3]))[-2:]
             return g, SolveStats(it, delta, contraction, "fixed_point")
@@ -170,42 +192,63 @@ def fixed_point(map_: Callable[[Array], Array], x0: Array, *,
     raise NoConvergence(f"fixed point not converged in {FP_MAX_ITER} iterations")
 
 
-def _differences(seen: list[tuple[Array, Array]]) -> list[tuple[list, list]]:
+def _fixed_point_on_arrays(map_: Callable[[Array], Array], x0: Array,
+                           memory: list | None) -> tuple[Array, SolveStats]:
+    """``fixed_point`` for a map on arrays, from an array start.
+
+    The solve iterates float lists; ``map_`` sees each iterate as an
+    array: ``x0`` itself first, then the array it returned for a plain
+    iterate, and a new array for a mixed one.  Returns the array
+    ``map_`` returned for the accepted image.
+    """
+    x = np.asarray(x0, dtype=float)
+    last = x.tolist(), x  # the last iterate as a float list, and as map_ sees it
+
+    def on_lists(xl):
+        nonlocal last
+        g = np.asarray(map_(last[1] if xl is last[0] else np.array(xl)), dtype=float)
+        last = g.tolist(), g
+        return last[0]
+
+    stats = fixed_point(on_lists, last[0], memory=memory)[1]
+    return last[1], stats
+
+
+def _differences(seen: list[tuple[list, list]]) -> list[tuple[list, list]]:
     """The (dg, df) differences of consecutive (map image, update) pairs,
-    as float lists, oldest first."""
-    return [((g1 - g0).tolist(), (f1 - f0).tolist())
+    float lists, oldest first."""
+    return [(list(map(sub, g1, g0)), list(map(sub, f1, f0)))
             for (g0, f0), (g1, f1) in zip(seen, seen[1:])]
 
 
-def _anderson_mix(g: Array, f: Array, pairs: list[tuple[list, list]]) -> Array:
+def _anderson_mix(g: list, f: list, pairs: list[tuple[list, list]]) -> list:
     """The type-II Anderson iterate after the map image g.
 
     ``f`` is g's update, and ``pairs`` one or two (dg, df) differences
-    of earlier map images and updates, float lists, oldest first.
+    of earlier map images and updates, oldest first, all float lists.
     Returns g - c_1 dg_1 - c_2 dg_2 for the c minimizing
     |f - c_1 df_1 - c_2 df_2|, its 2x2 normal equations solved by
-    Cramer's rule in Python floats.  With one pair, or when the Gram
+    Cramer's rule.  With one pair, or when the Gram
     determinant of two is not safely positive (always in one dimension),
     the newest difference alone gives the secant step; when its df is
     zero as well, g itself is returned.
     """
-    gl, fl = g.tolist(), f.tolist()
     dg2, df2 = pairs[-1]
     a22 = sum(map(mul, df2, df2))
-    b2 = sum(map(mul, df2, fl))
+    b2 = sum(map(mul, df2, f))
     if len(pairs) == 2:
         dg1, df1 = pairs[0]
         a11 = sum(map(mul, df1, df1))
         a12 = sum(map(mul, df1, df2))
-        b1 = sum(map(mul, df1, fl))
+        b1 = sum(map(mul, df1, f))
         det = a11 * a22 - a12 * a12
         if det > _GRAM_MIN * (a11 * a22):
             c1 = (a22 * b1 - a12 * b2) / det
             c2 = (a11 * b2 - a12 * b1) / det
-            return np.array([gi - c1 * u - c2 * v for gi, u, v in zip(gl, dg1, dg2)])
+            return [gi - c1 * u - c2 * v for gi, u, v in zip(g, dg1, dg2)]
     if a22 > 0.0:
         c2 = b2 / a22
-        return np.array([gi - c2 * v for gi, v in zip(gl, dg2)])
+        return [gi - c2 * v for gi, v in zip(g, dg2)]
     return g
 
 

@@ -1493,36 +1493,62 @@ class TestConservation:
                 rtol=0, atol=1e-13)
         assert conserved_error_series(traj, harmonic).max() <= 1e-13
 
-    def test_a_leg_falls_back_to_newton_after_the_solve_budget(self, harmonic, harmonic_dmm,
-                                                               monkeypatch):
-        # At tau=0.8 two legs neither converge nor expand for five
-        # updates running: each spends the whole budget, then Newton
-        # solves it.
-        spent, newton_calls = [], []
-        fixed_point, newton = engine.fixed_point, engine.newton
-
-        def recording_fixed_point(map_, x0, *, memory=None):
-            calls = []
-
-            def counted(x):
-                calls.append(1)
-                return map_(x)
-            try:
-                return fixed_point(counted, x0, memory=memory)
-            except NoConvergence:
-                spent.append(len(calls))
-                raise
-
-        def counting_newton(F, x0):
-            newton_calls.append(1)
-            return newton(F, x0)
-
-        monkeypatch.setattr(engine, "fixed_point", recording_fixed_point)
-        monkeypatch.setattr(engine, "newton", counting_newton)
-        traj = run_harmonic(harmonic, harmonic_dmm, 20.0, 0.8)
-        assert spent == [solvers.FP_MAX_ITER] * 2
-        assert len(newton_calls) == 2
+    @pytest.mark.parametrize("tau", [0.8, 1.0])
+    def test_a_non_normal_contracting_step_map_is_mixed(self, harmonic, harmonic_dmm,
+                                                        monkeypatch, tau):
+        # The minus side's step map contracts (h*omega/2 of 0.69 and
+        # 0.87) but is non-normal: several legs start with update ratios
+        # above one.  Their second and third updates decide on mixing,
+        # and the mix solves the affine map: no leg spends the budget,
+        # and none falls back to Newton.
+        traj, spent, newton_solves = budget_run(
+            monkeypatch, lambda: run_harmonic(harmonic, harmonic_dmm, 20.0, tau))
+        assert spent == [] and newton_solves == []
+        assert len(traj.events) == 8
         assert conserved_error_series(traj, harmonic).max() <= 1e-13
+
+    def test_a_leg_falls_back_to_newton_after_the_solve_budget(self, elliptic, monkeypatch):
+        # Elliptic dmm-midpoint from (0.69, -0.21) at tau=0.7: two legs
+        # neither converge nor expand for five updates running, each
+        # spends the whole budget, and Newton solves its step equation.
+        schemes = scheme_pair(elliptic, "dmm-midpoint")
+        traj, spent, newton_solves = budget_run(
+            monkeypatch, lambda: integrate(elliptic, *schemes, [0.69, -0.21], 0.0, 3.0, 0.7))
+        assert spent == [solvers.FP_MAX_ITER] * 2
+        assert len(newton_solves) == 2
+        for residual, x in newton_solves:
+            assert residual <= solvers.FP_TOL * (1.0 + np.linalg.norm(x))
+        assert len(traj.events) == 2
+
+
+def budget_run(monkeypatch, run):
+    """The result of ``run()``, the updates each fixed-point solve that ran
+    out of its budget spent, and |x - step_map(x)| and x of each Newton
+    solve."""
+    spent, newton_solves = [], []
+    fixed_point, newton = engine.fixed_point, engine.newton
+
+    def recording_fixed_point(map_, x0, *, memory=None):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return map_(x)
+        try:
+            return fixed_point(counted, x0, memory=memory)
+        except NoConvergence:
+            spent.append(len(calls))
+            raise
+
+    def recording_newton(F, x0):
+        x, stats = newton(F, x0)
+        newton_solves.append((float(np.linalg.norm(F(x))), x))
+        return x, stats
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "fixed_point", recording_fixed_point)
+        m.setattr(engine, "newton", recording_newton)
+        return run(), spent, newton_solves
 
 
 # Reversing symmetries of the catalog systems: R f(R x) = -f(x) on both

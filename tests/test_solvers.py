@@ -12,6 +12,7 @@ from pwsint import (
     bracketed_root,
     elliptic_system,
     fixed_point,
+    harmonic_system,
     implicit_midpoint_dvf,
     newton,
     quadratic_root_bound,
@@ -81,19 +82,25 @@ class TestFixedPoint:
                                    rtol=0, atol=1e-12)
 
     def test_iteration_cap(self):
-        # A non-normal contraction: its first update ratio is 1.45, so it
-        # is never mixed, and its ratios alternate above and below one, so
-        # the divergence monitor never fires.  The budget ends it.
-        J = np.array([[0.0, 2.0], [-0.45, 0.0]])
+        # A non-normal contraction in three dimensions: J maps e1 to
+        # 1.2 e2, e2 to 1.2 e3 and e3 to 0.5 e1, spectral radius 0.72^(1/3),
+        # about 0.90.  Its update ratios cycle through 1.2, 1.2 and 0.5:
+        # the first two are at least one, so it is never mixed, and no five
+        # in a row are, so the divergence monitor never fires.  After 25
+        # updates the update is still 0.72^8, about 0.07: the budget ends it.
+        J = np.array([[0.0, 0.0, 0.5], [1.2, 0.0, 0.0], [0.0, 1.2, 0.0]])
+        b = np.array([1.0, 0.0, 0.0])
         updates = []
 
         def map_(x):
             updates.append(x)
-            return J @ x + 1.0
+            return J @ x + b
 
         with pytest.raises(NoConvergence):
-            fixed_point(map_, np.zeros(2))
+            fixed_point(map_, np.zeros(3))
         assert len(updates) == solvers.FP_MAX_ITER
+        # Each iterate is the image before it: no update was mixed.
+        assert all(np.array_equal(x, J @ y + b) for y, x in zip(updates, updates[1:]))
 
     def test_update_of_at_most_the_tolerance_accepts_at_once(self):
         x, stats = fixed_point(lambda x: np.array([solvers.FP_TOL]), np.array([0.0]))
@@ -139,20 +146,23 @@ def plain_fixed_point(map_, x, max_iter=200):
     image whose update passed, the number of updates, the ratio of the
     first two update norms (0.0 for a one-update solve), and whether
     mixing would pay after some update: one from the third on, of a map
-    whose first two updates contract, with r^2 times the update above
-    the tolerance, r the ratio of its norm to the one before.
+    whose first two updates contract, or else its second and third, with
+    r^2 times the update above the tolerance, r the ratio of its norm to
+    the one before.  Norms are taken as the solver takes them: an
+    update's by ``math.sqrt`` of the Python sum of its squares, and the
+    image's by ``math.hypot``.
     """
     deltas = []
     pays = False
     for it in range(1, max_iter + 1):
         g = np.asarray(map_(x), dtype=float)
-        f = g - x
-        delta = math.sqrt(f.dot(f))
+        f = (g - x).tolist()
+        delta = math.sqrt(sum(v * v for v in f))
         deltas.append(delta)
-        tol = solvers.FP_TOL * (1.0 + math.sqrt(g.dot(g)))
+        tol = solvers.FP_TOL * (1.0 + math.hypot(*g.tolist()))
         if delta <= solvers.FP_TOL or delta <= tol:
             return g, it, deltas[1] / deltas[0] if it > 1 else 0.0, pays
-        if it >= 3 and deltas[1] < deltas[0]:
+        if it >= 3 and (deltas[1] < deltas[0] or deltas[2] < deltas[1]):
             pays = pays or (delta / deltas[-2]) ** 2 * delta > tol
         x = g
     raise AssertionError("the plain iteration did not converge")
@@ -232,6 +242,18 @@ class TestAndersonAcceleration:
                                    rtol=0, atol=1e-12)
         with pytest.raises(DivergingFixedPoint):
             fixed_point(map_, xs[0])
+
+    def test_a_non_normal_contraction_is_mixed_on_its_second_ratio(self):
+        # J^2 = -0.9 I, so J contracts (spectral radius 0.95), but it
+        # stretches the first update, (1, 1), by 1.45.  The second ratio,
+        # below one, decides instead: the mix of the first three updates
+        # is the fixed point of the affine map.  Plain updates shrink by
+        # 0.9 every two and would run out of the budget.
+        J = np.array([[0.0, 2.0], [-0.45, 0.0]])
+        x, stats = fixed_point(lambda x: J @ x + 1.0, np.zeros(2))
+        fixed = np.linalg.solve(np.eye(2) - J, np.ones(2))
+        assert stats.iterations == 4 and stats.contraction_estimate > 1.0
+        np.testing.assert_allclose(x, fixed, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("field_name", ["elliptic", "pendulum"])
     def test_nonlinear_step_maps_match_the_plain_iteration(self, field_name):
@@ -390,6 +412,79 @@ class TestCarriedPairs:
         one_d = [([dg[0]], [df[0]]) for dg, df in memory]
         with pytest.raises(DivergingFixedPoint):
             fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.0]), memory=one_d)
+
+
+def list_only(map_):
+    """``map_``, asserting that it is handed and returns lists of floats."""
+    def checked(x):
+        assert type(x) is list and all(type(v) is float for v in x), x
+        g = map_(x)
+        assert type(g) is list and all(type(v) is float for v in g), g
+        return g
+    return checked
+
+
+def oscillator_leg_map(omega2, x_a, tau):
+    """The catalog oscillator's float step map from x_a over tau, and its
+    array twin, built from the same field's ``evaluate``."""
+    sys_ = harmonic_system(omega2, omega2)
+    dvf = resolve_scheme("dmm-midpoint", sys_, RegionSide.MINUS)
+    return (dvf.evaluate.leg_map(0.0, x_a, tau, tau),
+            midpoint_step_map(dvf, 0.0, np.array(x_a), tau)[0])
+
+
+class TestFloatLists:
+    """fixed_point iterates lists of Python floats, and an array start
+    goes through the array adapter: one iteration, the same bits."""
+
+    def test_a_plain_solve_stays_on_lists(self):
+        x, stats = fixed_point(list_only(lambda x: [1e-9 * x[0] + 1.0, 1e-9 * x[1] - 1.0]),
+                               [0.0, 0.0])
+        assert type(x) is list and stats.iterations == 3
+        assert x == [1.0 + 1e-9, -1.0 - 1e-9]
+
+    @pytest.mark.parametrize("omega2", [1.0, 4.0])
+    @pytest.mark.parametrize("x_a", [[1.0, 1.0], [0.3, -2.0], [-1.5, 0.7]])
+    def test_a_mixed_coarse_oscillator_solve_stays_on_lists(self, omega2, x_a):
+        step_map, array_map = oscillator_leg_map(omega2, x_a, 0.1)
+        start = step_map(x_a)
+        x, stats = fixed_point(list_only(step_map), start)
+        assert type(x) is list and stats.iterations <= 4
+        assert plain_fixed_point(array_map, np.array(start))[1] >= 6
+        np.testing.assert_allclose(x, midpoint_harmonic_step(omega2, x_a, 0.1),
+                                   rtol=0, atol=1e-14)
+        # The array adapter takes the same iterates.
+        x_array, stats_array = fixed_point(array_map, np.array(start))
+        assert isinstance(x_array, np.ndarray)
+        assert (x_array.tolist(), stats_array) == (x, stats)
+
+    def test_carried_pairs_stay_on_lists(self):
+        memory = []
+        fixed_point(list_only(oscillator_leg_map(4.0, [0.8, -0.4], 0.1)[0]), [0.8, -0.4],
+                    memory=memory)
+        assert len(memory) == 2
+        assert all(type(v) is float for dg, df in memory for v in dg + df)
+        step_map, array_map = oscillator_leg_map(4.0, [0.3, -2.0], 0.1)
+        start = step_map([0.3, -2.0])
+        array_memory = [(list(dg), list(df)) for dg, df in memory]
+        x, stats = fixed_point(list_only(step_map), start, memory=memory)
+        assert type(x) is list and stats.iterations == 2
+        np.testing.assert_allclose(x, midpoint_harmonic_step(4.0, [0.3, -2.0], 0.1),
+                                   rtol=0, atol=1e-14)
+        x_array, stats_array = fixed_point(array_map, np.array(start), memory=array_memory)
+        assert (x_array.tolist(), stats_array, array_memory) == (x, stats, memory)
+
+    def test_an_array_start_takes_the_array_adapter(self):
+        def array_only(map_):
+            def checked(x):
+                assert isinstance(x, np.ndarray) and x.dtype == float, x
+                return map_(x)
+            return checked
+
+        x, stats = fixed_point(array_only(lambda x: 0.5 * x + 1.0), np.array([0.0]))
+        assert isinstance(x, np.ndarray) and abs(x[0] - 2.0) <= 1e-13
+        with pytest.raises(DivergingFixedPoint):
+            fixed_point(array_only(lambda x: 2.0 * x + 1.0), np.array([0.0]))
 
 
 class TestNewton:
